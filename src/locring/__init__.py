@@ -9,13 +9,13 @@ from .fields import (
     PrimeField,
     RationalFunctionField,
     Rationals,
-    apply_automorphism,
     format_field,
     frobenius,
     parse_field,
 )
 from .poly import (
     Poly,
+    apply_automorphism_to_poly,
     enumerate_irreducibles,
     exact_div,
     ext_gcd,
@@ -46,7 +46,6 @@ from .hensel import (
 )
 from .lift import (
     LiftReport,
-    extend_automorphism,
     find_residue_isomorphisms,
     induced_residue_morphism,
     kernel_witness,

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 
-from .errors import LocringError, NotSeparable, TooLarge
+from .errors import LocringError, NotSeparable, ParseError, TooLarge
 from .fields import IDENTITY, FieldAutomorphism, format_field, parse_field
 from .hensel import embed_residue_field, hensel_root_series, to_digits
 from .lift import (
@@ -142,7 +142,11 @@ def cmd_find_iso(args):
 
 def cmd_check(args):
     with open(args.morphism, "r", encoding="utf-8") as fh:
-        f = StabilizingMorphism.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            raise ParseError(f"{args.morphism} is not valid JSON: {e}") from None
+    f = StabilizingMorphism.from_dict(data)
     # constructor re-verified the well-definedness certificate
     try:
         law = exhaustive_morphism_check(f)

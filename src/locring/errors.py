@@ -9,6 +9,11 @@ class ParseError(LocringError):
     """Input text could not be parsed; the message names the offending token."""
 
 
+class InvalidArgument(LocringError, ValueError):
+    """An argument lies outside its domain: a composite characteristic, a
+    power below 1, a negative Frobenius exponent."""
+
+
 class DivisionByZero(LocringError):
     pass
 

@@ -12,7 +12,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .errors import InexactDivision, NotSeparable
+from .errors import InvalidArgument, NotMonic, NotSeparable
 from .fields import IDENTITY
 from .poly import Poly, exact_div, format_poly, inverse_mod
 from .quotient import QuotientRing, StabilizingMorphism
@@ -54,9 +54,9 @@ def hensel_root_series(p, k):
     Raises NotSeparable when P' = 0.
     """
     if k < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgument("power must be >= 1")
     if not p.is_monic() or p.degree < 1:
-        raise ValueError("base polynomial must be monic of degree >= 1")
+        raise NotMonic("base polynomial must be monic of degree >= 1")
     dp = p.derivative()
     if dp.is_zero():
         raise NotSeparable(f"{format_poly(p)} has zero derivative")
@@ -181,13 +181,6 @@ def digits_mul(d1, d2):
                 break
             out[i + j] = out[i + j] + a * b
     return ResidueDigits(ring=d1.ring, digits=tuple(out))
-
-
-def digits_add(d1, d2):
-    if d1.ring != d2.ring:
-        raise ValueError("digit vectors from different rings")
-    return ResidueDigits(ring=d1.ring,
-                         digits=tuple(a + b for a, b in zip(d1.digits, d2.digits)))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
+    InvalidArgument,
     NotAMorphism,
     NotSeparable,
     NotWellDefined,
@@ -25,15 +26,11 @@ from .poly import (
     Poly,
     apply_automorphism_to_poly,
     enumerate_polys,
+    exact_div,
     format_poly,
     gcd,
 )
 from .quotient import QuotientRing, StabilizingMorphism
-
-
-def extend_automorphism(sigma, a):
-    """sigma^X: apply the base automorphism to every coefficient, fix X."""
-    return apply_automorphism_to_poly(sigma, a)
 
 
 def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
@@ -54,7 +51,7 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     if q.degree < 1 or q.degree >= p2.degree:
         raise DegreeMismatch(
             f"X-image must be nonconstant of degree < {p2.degree}")
-    comp = extend_automorphism(sigma, p1).compose(q)
+    comp = apply_automorphism_to_poly(sigma, p1).compose(q)
     s, rem = divmod(comp, p2)
     if not rem.is_zero():
         raise NotAMorphism(
@@ -93,14 +90,7 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
 
 def _vec_key(q, d):
     # ascending coefficient vector, constant term first, padded to length d
-    return tuple(_elem_key(q.coeff(i)) for i in range(d))
-
-
-def _elem_key(c):
-    payload = c.payload
-    if isinstance(payload, tuple):
-        return tuple(x.payload for x in payload)
-    return payload
+    return tuple(q.coeff(i).payload for i in range(d))
 
 
 def lift_morphism(f, n):
@@ -110,7 +100,7 @@ def lift_morphism(f, n):
     re-verified by the morphism constructor.
     """
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgument("power must be >= 1")
     if n == f.source.n == f.target.n:
         return f
     source = f.source.at_power(n)
@@ -131,12 +121,16 @@ class LiftReport:
     verdict: bool
 
 
+def _composite(f):
+    """sigma^X(P1) o Q_f, with Q_f reduced mod P2."""
+    shifted = apply_automorphism_to_poly(f.sigma, f.source.p)
+    return shifted.compose(f.q_image % f.target.p)
+
+
 def _cofactor(f):
     if f.s_cert is not None:
         return f.s_cert
-    comp = extend_automorphism(f.sigma, f.source.p).compose(f.q_image % f.target.p)
-    from .poly import exact_div
-    return exact_div(comp, f.target.p)
+    return exact_div(_composite(f), f.target.p)
 
 
 def lift_is_isomorphism(f, n):
@@ -147,7 +141,7 @@ def lift_is_isomorphism(f, n):
     For n = 1 the verdict is always true (field map, equal dimensions).
     """
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgument("power must be >= 1")
     q_f = f.q_image % f.target.p
     s_f = _cofactor(f)
     p2 = f.target.p
@@ -170,7 +164,7 @@ def kernel_witness(f, n):
     is the multiplicity of P2 in sigma^X(P1) o Q_f."""
     if n < 2:
         raise ValueError("kernel witnesses exist only for n >= 2")
-    comp = extend_automorphism(f.sigma, f.source.p).compose(f.q_image % f.target.p)
+    comp = _composite(f)
     p2 = f.target.p
     m = 0
     while True:
@@ -222,7 +216,7 @@ def roots_bijection_check(f):
     p1 = f.source.p
     p2 = f.target.p
     q_f = f.q_image % p2
-    shifted_p1 = extend_automorphism(f.sigma, p1)
+    shifted_p1 = apply_automorphism_to_poly(f.sigma, p1)
     d = p2.degree
     if d == 1:
         ext = base
@@ -288,7 +282,7 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     _check_separable(p1)
     _check_separable(p2)
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgument("power must be >= 1")
     if p1.degree != p2.degree:
         return None
     if p1.degree == 1:

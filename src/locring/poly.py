@@ -1,7 +1,10 @@
 """Dense univariate polynomials over any supported exact field.
 
-Coefficients are stored in ascending degree order with no trailing zeros;
-the zero polynomial has an empty coefficient tuple and degree -1.
+A polynomial stores the payloads of its coefficients (see ``fields``) in
+ascending degree order with no trailing zeros; the zero polynomial has an
+empty payload tuple and degree -1.  All arithmetic runs on the field's
+payload kernel, and ``coeffs``, ``coeff`` and ``leading`` box payloads into
+``FieldElement`` values on the way out.
 """
 
 from __future__ import annotations
@@ -22,17 +25,23 @@ from .errors import (
 class Poly:
     """Immutable dense polynomial over one field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "payload")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        payload = field._ptrim([field.coerce(c).payload for c in coeffs])
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "payload", payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _of(cls, field, payload):
+        # wrap a payload tuple that is already trimmed
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "payload", payload)
+        return obj
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -57,40 +66,34 @@ class Poly:
 
     # -- basic queries ------------------------------------------------------
     @property
+    def coeffs(self):
+        return tuple(fields.FieldElement(self.field, c) for c in self.payload)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.payload) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.payload
 
     def leading(self):
-        if not self.coeffs:
+        if not self.payload:
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return fields.FieldElement(self.field, self.payload[-1])
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return (bool(self.payload)
+                and self.payload[-1] == self.field._from_int(1))
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.payload):
+            return fields.FieldElement(self.field, self.payload[i])
         return self.field.zero()
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.payload) <= 1
 
     # -- arithmetic ---------------------------------------------------------
-    @classmethod
-    def _from_ints(cls, field, ints):
-        # fast constructor for prime fields: payloads already reduced mod p
-        while ints and ints[-1] == 0:
-            ints.pop()
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "coeffs",
-                           tuple(fields.FieldElement(field, c) for c in ints))
-        return obj
-
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.field != self.field:
@@ -105,30 +108,19 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        if isinstance(self.field, fields.PrimeField):
-            p = self.field.p
-            out = [c.payload for c in a]
-            for i, c in enumerate(b):
-                out[i] = (out[i] + c.payload) % p
-            return Poly._from_ints(self.field, out)
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly._of(self.field, self.field._padd(self.payload, o.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._of(self.field, self.field._pneg(self.payload))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        f = self.field
+        return Poly._of(f, f._padd(self.payload, f._pneg(o.payload)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -137,26 +129,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly.zero(self.field)
-        if isinstance(self.field, fields.PrimeField):
-            p = self.field.p
-            ai_list = [c.payload for c in a]
-            bj_list = [c.payload for c in b]
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(ai_list):
-                if ai:
-                    for j, bj in enumerate(bj_list):
-                        out[i + j] += ai * bj
-            return Poly._from_ints(self.field, [c % p for c in out])
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return Poly(self.field, out)
+        return Poly._of(self.field, self.field._pmul(self.payload, o.payload))
 
     __rmul__ = __mul__
 
@@ -164,44 +137,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if isinstance(self.field, fields.PrimeField):
-            p = self.field.p
-            rem = [c.payload for c in self.coeffs]
-            bo = [c.payload for c in o.coeffs]
-            db = len(bo) - 1
-            inv_lead = pow(bo[-1], -1, p)
-            quo = [0] * max(len(rem) - db, 1)
-            while len(rem) - 1 >= db:
-                top = rem[-1] % p
-                if not top:
-                    rem.pop()
-                    continue
-                k = len(rem) - 1 - db
-                c = top * inv_lead % p
-                quo[k] = c
-                for j in range(db):
-                    rem[k + j] -= c * bo[j]
-                rem.pop()
-            return (Poly._from_ints(self.field, quo),
-                    Poly._from_ints(self.field, [c % p for c in rem]))
-        zero = self.field.zero()
-        rem = list(self.coeffs)
-        db = o.degree
-        inv_lead = o.coeffs[-1] ** (-1)
-        quo = [zero] * max(len(rem) - db, 1)
-        while len(rem) - 1 >= db:
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            k = len(rem) - 1 - db
-            c = rem[-1] * inv_lead
-            quo[k] = c
-            for j in range(db):
-                rem[k + j] = rem[k + j] - c * o.coeffs[j]
-            rem.pop()
-        return Poly(self.field, quo), Poly(self.field, rem)
+        q, r = self.field._pdivmod(self.payload, o.payload)
+        return Poly._of(self.field, q), Poly._of(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -234,8 +171,9 @@ class Poly:
 
     # -- calculus and composition ------------------------------------------
     def derivative(self):
-        return Poly(self.field,
-                    [i * c for i, c in enumerate(self.coeffs)][1:])
+        f = self.field
+        return Poly._of(f, f._ptrim([f._mul(f._from_int(i), c)
+                                     for i, c in enumerate(self.payload)][1:]))
 
     def evaluate(self, v):
         """Horner evaluation at a field element (or any ring value)."""
@@ -248,40 +186,41 @@ class Poly:
 
     def compose(self, q):
         """Naive composition self(q)."""
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+        f = self.field
+        q = self._coerce(q).payload
+        acc = ()
+        for c in reversed(self.payload):
+            acc = f._padd(f._pmul(acc, q), (c,))
+        return Poly._of(f, acc)
 
     def compose_mod(self, q, m):
         """self(q) reduced mod m, Horner with reduction after each step."""
         if m.is_zero():
             raise DivisionByZero("composition modulus is zero")
-        acc = Poly.zero(self.field)
-        q = q % m
-        for c in reversed(self.coeffs):
-            acc = (acc * q + c) % m
-        return acc
+        f = self.field
+        m = self._coerce(m).payload
+        q = f._pdivmod(self._coerce(q).payload, m)[1]
+        acc = ()
+        for c in reversed(self.payload):
+            acc = f._pdivmod(f._padd(f._pmul(acc, q), (c,)), m)[1]
+        return Poly._of(f, acc)
 
     def map_coeffs(self, fn):
         return Poly(self.field, [fn(c) for c in self.coeffs])
 
     def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.coeffs[-1] ** (-1)
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return Poly._of(self.field, self.field._pmonic(self.payload))
 
     # -- value semantics ----------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self.payload == other.payload
         if isinstance(other, int):
             return self == Poly(self.field, (other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.payload))
 
     def __bool__(self):
         return not self.is_zero()
@@ -298,26 +237,14 @@ class Poly:
 
 def ext_gcd(a, b):
     """Extended Euclid: returns (g, u, v) with g = u*a + v*b, g monic."""
-    if a.is_zero() and b.is_zero():
-        raise DivisionByZero("gcd(0, 0) is undefined")
     field = a.field
-    r0, r1 = a, b
-    u0, u1 = Poly.one(field), Poly.zero(field)
-    v0, v1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    scale = r0.leading() ** (-1)
-    return r0 * scale, u0 * scale, v0 * scale
+    return tuple(Poly._of(field, c)
+                 for c in field._pgcdex(a.payload, a._coerce(b).payload))
 
 
 def gcd(a, b):
     """Monic gcd."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly._of(a.field, a.field._pgcd(a.payload, a._coerce(b).payload))
 
 
 def exact_div(a, b):

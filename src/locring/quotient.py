@@ -13,10 +13,12 @@ import json
 from . import fields as _fields
 from .errors import (
     BadTarget,
+    InvalidArgument,
     NotAUnit,
     NotIrreducible,
     NotMonic,
     NotWellDefined,
+    ParseError,
     RingMismatch,
     UnsupportedField,
 )
@@ -45,7 +47,7 @@ class QuotientRing:
         if not p.is_monic():
             raise NotMonic(f"{p} is not monic")
         if n < 1:
-            raise ValueError("power must be >= 1")
+            raise InvalidArgument("power must be >= 1")
         if p.field.is_finite():
             if not assume_irreducible and not is_irreducible(p):
                 raise NotIrreducible(f"{p} is reducible over {p.field}")
@@ -303,6 +305,7 @@ class StabilizingMorphism:
 
     @classmethod
     def from_dict(cls, data):
+        _check_schema(data, _MORPHISM_SCHEMA, "morphism")
         source = _ring_from_dict(data["source"])
         target = _ring_from_dict(data["target"])
         sigma = _fields.FieldAutomorphism.parse(data["sigma"])
@@ -320,12 +323,32 @@ def _ring_to_dict(ring):
             "n": ring.n}
 
 
+_MORPHISM_SCHEMA = {"source": dict, "target": dict, "sigma": str,
+                    "q_image": str}
+_RING_SCHEMA = {"field": str, "p": str, "n": int}
+_JSON_TYPE_NAMES = {dict: "object", str: "string", int: "integer"}
+
+
+def _check_schema(data, schema, what):
+    """ParseError unless ``data`` is a JSON object with every key of the
+    schema holding a value of its type."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object, "
+                         f"got {type(data).__name__}")
+    for key, kind in schema.items():
+        value = data.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"{what} needs {key!r} as a JSON "
+                             f"{_JSON_TYPE_NAMES[kind]}")
+
+
 def _ring_from_dict(data):
+    _check_schema(data, _RING_SCHEMA, "ring")
     field = _fields.parse_field(data["field"])
     p = parse_poly(field, data["p"])
     # serialized rings originate from validated rings; over infinite fields
     # irreducibility remains caller-asserted
-    return QuotientRing(p, int(data["n"]),
+    return QuotientRing(p, data["n"],
                         assume_irreducible=not field.is_finite())
 
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TooLarge, UnsupportedAutomorphism
-from .fields import ExtensionField, PrimeField
+from .fields import ExtensionField, FieldElement, PrimeField
 
 
 @dataclass(frozen=True)
@@ -74,57 +74,32 @@ def kernel_basis(m):
 
 
 def _row_echelon(m):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    if isinstance(m.field, PrimeField):
-        return _row_echelon_prime(m)
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()),
-                     None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c] ** (-1)
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form; returns (rows, pivot column list).
 
-
-def _row_echelon_prime(m):
-    # int fast path for F_p
-    p = m.field.p
+    Eliminates on unboxed payloads with the field's scalar ops."""
     field = m.field
     rows = [[x.payload for x in row] for row in m.rows]
     nrows, ncols = len(rows), m.ncols
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot = next((i for i in range(r, nrows)
+                      if not field._is_zero(rows[i][c])), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
+        inv = field._inv(rows[r][c])
+        rows[r] = [field._mul(x, inv) for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+            if i != r and not field._is_zero(rows[i][c]):
+                f = field._neg(rows[i][c])
+                rows[i] = [field._add(x, field._mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    wrapped = [[field.element(x) for x in row] for row in rows]
-    return wrapped, pivots
+    return [[FieldElement(field, x) for x in row] for row in rows], pivots
 
 
 def _sigma_is_trivial(f):
@@ -184,12 +159,12 @@ def _matrix_prime_subfield(f):
 
 
 def _flatten_column(f, elem):
-    ext = f.target.field
+    base = f.target.field.base
     rep = elem.rep
     out = []
     for i in range(f.target.dimension):
-        c = rep.coeff(i)
-        out.extend(c.payload)  # tuple of prime-field elements
+        # an extension payload is a tuple of prime-field payloads
+        out.extend(FieldElement(base, c) for c in rep.coeff(i).payload)
     return out
 
 

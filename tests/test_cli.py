@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 import locring as L
 from locring.cli import main
 from locring.poly import parse_poly
@@ -206,6 +208,64 @@ def test_check_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--morphism", str(tmp_path / "no.json"))
     assert code == 2
     assert err
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    {"source": {"field": "F2", "p": "x^2+x+1", "n": 1},
+     "target": {"field": "F2", "p": "x^2+x+1", "n": 1}, "q_image": "x"},
+    [1, 2],
+    {"source": "F2", "target": {}, "sigma": "id", "q_image": "x"},
+], ids=["no-sigma", "list", "ring-not-object"])
+def test_check_malformed_schema_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "check", "--morphism", str(path))
+    _assert_input_error(code, err)
+
+
+def test_check_invalid_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{oops", encoding="utf-8")
+    code, _, err = run(capsys, "check", "--morphism", str(path))
+    _assert_input_error(code, err)
+
+
+# -- input errors in the other commands ---------------------------------------
+
+LIFT = ["lift", "--field", "F3", "--p1", "x^2+1", "--p2", "x^2+x+2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--field", "F4", "--poly", "x^2+x+1", "--power", "2"],
+    ["embed", "--field", "F2", "--poly", "x^2+x+1", "--power", "0"],
+    ["embed", "--field", "F3", "--poly", "2*x^2+1", "--power", "2"],
+    ["embed", "--field", "F2[x]/(x)", "--poly", "x^2+x+1", "--power", "2"],
+    ["embed", "--field", "F3317044064679887385961983", "--poly", "x^2+1",
+     "--power", "2"],
+    ["digits", "--field", "F2", "--poly", "x^2+x+1", "--power", "0",
+     "--element", "x"],
+    LIFT + ["--power", "0"],
+    LIFT + ["--power", "2", "--sigma", "frob^x"],
+    LIFT + ["--power", "2", "--sigma", "frob^-1"],
+], ids=["embed-F4", "embed-power0", "embed-nonmonic", "embed-ext-degree1",
+        "embed-char-too-large", "digits-power0", "lift-power0",
+        "lift-sigma-x", "lift-sigma-negative"])
+def test_input_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _assert_input_error(code, err)
+
+
+def test_embed_61_bit_prime(capsys):
+    code, out, _ = run(capsys, "embed", "--field", "F2305843009213693951",
+                       "--poly", "x^2+1", "--power", "2")
+    assert code == 0
+    assert "certificate P(U) = R_cert * P^2: ok" in out
 
 
 # -- survey ------------------------------------------------------------------

@@ -7,8 +7,11 @@ import locring as L
 from locring.errors import (
     DescriptorMismatch,
     DivisionByZero,
+    InvalidArgument,
     UnsupportedAutomorphism,
+    UnsupportedField,
 )
+from locring.fields import _MR_LIMIT, _is_prime
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
@@ -150,3 +153,25 @@ def test_element_formatting():
     assert str((1 + t) / t) == "(t+1)/t"
     a = F4.gen()
     assert str(a + 1) == "a+1"
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 61 - 1, True),
+    (2 ** 61 + 1, False),
+    (561, False),                       # Carmichael
+    (3215031751, False),                # Carmichael, strong pseudoprime to 2..7
+    (318665857834031151167461, False),  # strong pseudoprime to 2..37
+    (2, True), (41, True), (43, True), (1, False), (0, False), (1 << 40, False),
+])
+def test_is_prime_miller_rabin(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_prime_field_characteristic_checks():
+    with pytest.raises(InvalidArgument):
+        L.PrimeField(561)
+    with pytest.raises(InvalidArgument):
+        L.RationalFunctionField(3215031751)
+    assert L.PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(UnsupportedField):
+        L.PrimeField(_MR_LIMIT + 2)

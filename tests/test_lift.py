@@ -28,19 +28,19 @@ def P(field, text):
 
 def test_extend_identity():
     a = P(Q, "x^2-2")
-    assert L.extend_automorphism(L.IDENTITY, a) == a
+    assert L.apply_automorphism_to_poly(L.IDENTITY, a) == a
 
 
 def test_extend_frobenius_over_f9():
     c = F9.gen()
     a = Poly(F9, (c, F9.one()))  # x + c
-    shifted = L.extend_automorphism(L.frobenius(1), a)
+    shifted = L.apply_automorphism_to_poly(L.frobenius(1), a)
     assert shifted == Poly(F9, (c ** 3, F9.one()))
 
 
 def test_extend_frobenius_over_prime_field_fixes():
     a = P(F2, "x^3+x+1")
-    assert L.extend_automorphism(L.frobenius(1), a) == a
+    assert L.apply_automorphism_to_poly(L.frobenius(1), a) == a
 
 
 # -- residue morphisms ------------------------------------------------------

@@ -10,6 +10,7 @@ from locring.errors import (
     ParseError,
     UnsupportedField,
 )
+from locring.fields import Field, FieldElement
 from locring.poly import Poly, enumerate_polys
 
 F2 = L.PrimeField(2)
@@ -68,6 +69,45 @@ def test_divmod_round_trip(field):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+# -- payload kernel ---------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_prime_kernel_agrees_with_generic_kernel(p):
+    # PrimeField's int loops are the one specialisation of the Field kernel
+    F = L.PrimeField(p)
+    rng = random.Random(p)
+    fixed = [((), ()), ((), (1,)), ((1,), ()), ((0, 1, 1, 1, 1), (1, 1)),
+             ((1, 1), (0, 0, 0, 1)), ((1,), (1, 0, 1))]
+    pairs = fixed + [
+        tuple(F._ptrim([rng.randrange(p) for _ in range(rng.randint(0, 7))])
+              for _ in range(2))
+        for _ in range(300)]
+    for a, b in pairs:
+        a, b = F._ptrim(a), F._ptrim(b)
+        assert F._padd(a, b) == Field._padd(F, a, b)
+        assert F._pmul(a, b) == Field._pmul(F, a, b)
+        if b:
+            assert F._pdivmod(a, b) == Field._pdivmod(F, a, b)
+        else:
+            with pytest.raises(DivisionByZero):
+                F._pdivmod(a, b)
+            with pytest.raises(DivisionByZero):
+                Field._pdivmod(F, a, b)
+
+
+def test_poly_stores_payloads_and_boxes_coefficients():
+    F4 = L.ExtensionField(F2, (1, 1, 1))
+    a = P(F4, "a*x+1")
+    assert a.payload == ((1, 0), (0, 1))
+    assert all(isinstance(c, FieldElement) and c.field == F4
+               for c in a.coeffs)
+    assert a.coeffs == (F4.one(), F4.gen())
+    assert a.leading() == F4.gen() and a.coeff(5) == F4.zero()
+    # an extension element's payload is a tuple of base-field payloads
+    assert F4.gen().payload == (0, 1)
+    assert (F4.gen() ** 2).payload == (1, 1)
 
 
 # -- gcd --------------------------------------------------------------------

@@ -179,5 +179,5 @@ def test_certificate_residue_is_exactly_zero():
     # every constructed morphism re-verifies its certificate on construction;
     # recompute it here independently
     f = frob_morphism()
-    shifted = L.extend_automorphism(f.sigma, f.source.modulus)
+    shifted = L.apply_automorphism_to_poly(f.sigma, f.source.modulus)
     assert shifted.compose(f.q_image) % f.target.modulus == Poly.zero(F2)
