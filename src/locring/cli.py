@@ -20,12 +20,18 @@ from .lift import (
     kernel_witness,
     lift_is_isomorphism,
     lift_morphism,
+    pick_residue_morphism,
     residue_morphism_from_Q,
     rings_isomorphic_separable,
 )
 from .poly import Poly, enumerate_irreducibles, format_poly, gcd, parse_poly
 from .quotient import QuotientRing, StabilizingMorphism
-from .verify import certify_isomorphism, exhaustive_morphism_check, kernel_dimension
+from .verify import (
+    exhaustive_morphism_check,
+    kernel_basis,
+    kernel_dimension,
+    morphism_matrix,
+)
 
 SURVEY_COLUMNS = ["field", "p1", "p2", "degree", "n",
                   "q_f", "s_f", "verdict", "kernel_dim"]
@@ -35,7 +41,16 @@ def _parse_inputs(args, *poly_attrs):
     field = parse_field(args.field)
     assume = not field.is_finite()
     polys = [parse_poly(field, getattr(args, name)) for name in poly_attrs]
+    if assume:
+        _note_assumed(field, polys)
     return field, assume, polys
+
+
+def _note_assumed(field, polys):
+    # stderr, so that stdout stays the same whether or not P was checked
+    for text in dict.fromkeys(format_poly(p) for p in polys):
+        print(f"note: irreducibility of {text} over {format_field(field)} "
+              "is assumed, not verified", file=sys.stderr)
 
 
 def _sigma(args):
@@ -83,13 +98,8 @@ def _pick_residue_morphism(args, p1, p2, sigma, assume):
         q = parse_poly(p2.field, args.q)
         return residue_morphism_from_Q(p1, p2, sigma, q,
                                        assume_irreducible=assume)
-    candidates = find_residue_isomorphisms(p1, p2, sigma)
-    if not candidates:
-        return None
-    for f in candidates:
-        if lift_is_isomorphism(f, args.power).verdict:
-            return f
-    return candidates[0]
+    return pick_residue_morphism(find_residue_isomorphisms(p1, p2, sigma),
+                                 args.power)
 
 
 def cmd_lift(args):
@@ -147,6 +157,8 @@ def cmd_check(args):
         except ValueError as e:
             raise ParseError(f"{args.morphism} is not valid JSON: {e}") from None
     f = StabilizingMorphism.from_dict(data)
+    if not f.source.field.is_finite():
+        _note_assumed(f.source.field, [f.source.p, f.target.p])
     # constructor re-verified the well-definedness certificate
     try:
         law = exhaustive_morphism_check(f)
@@ -156,8 +168,9 @@ def cmd_check(args):
         a, b, op = law.witness
         print(f"morphism law FAILED on {op}: a = {a}, b = {b}")
         return 1
-    iso = certify_isomorphism(f)
-    kdim = kernel_dimension(f)
+    matrix = morphism_matrix(f)
+    kdim = len(kernel_basis(matrix))
+    iso = matrix.nrows == matrix.ncols and kdim == 0
     print("certificate: ok")
     if law is not None:
         print(f"morphism law: ok ({law.n_pairs} pairs)")

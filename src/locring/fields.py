@@ -11,9 +11,10 @@ is equality of payloads.  Supported fields:
     payloads of length ``deg(min poly)``, i.e. the reduced representative
 
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
-degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel uses the
-field's own scalar ops, and ``PrimeField`` replaces its add, multiply and
-divide loops with plain int loops.  ``Poly``, the numerators and denominators
+degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
+add and multiply up to composition and powering, uses the field's own scalar
+ops, and ``PrimeField`` replaces its add, multiply and divide loops with
+plain int loops.  ``Poly``, the numerators and denominators
 of ``F_p(t)`` and the representatives of ``F_p[x]/(m)`` all run on it.
 
 Fields are immutable and hashable; elements are immutable value objects.
@@ -33,26 +34,6 @@ from .errors import (
     UnsupportedAutomorphism,
     UnsupportedField,
 )
-
-
-# ---------------------------------------------------------------------------
-# text form of an F_p(t) numerator or denominator (int tuple, ascending)
-
-def _ip_str(a, var):
-    if not a:
-        return "0"
-    parts = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(c)
-        else:
-            xs = var if i == 1 else f"{var}^{i}"
-            term = xs if c == 1 else f"{c}*{xs}"
-        parts.append(term)
-    return "+".join(parts)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13
@@ -85,6 +66,17 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _power(acc, a, e, mul):
+    """acc * a**e by square and multiply with the product ``mul``."""
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +183,30 @@ class Field:
             a, b = b, self._pdivmod(a, b)[1]
         return self._pmonic(a)
 
+    def _pcompose(self, a, q, m=None):
+        """a(q) by Horner, reduced mod m after each step when m is given."""
+        acc = ()
+        if m is None:
+            for c in reversed(a):
+                acc = self._padd(self._pmul(acc, q), (c,))
+            return acc
+        q = self._pdivmod(q, m)[1]
+        for c in reversed(a):
+            acc = self._pdivmod(self._padd(self._pmul(acc, q), (c,)), m)[1]
+        return acc
+
+    def _ppow(self, a, e, m=None):
+        """a**e by square and multiply, reduced mod m after each product
+        when m is given."""
+        one = (self._from_int(1),)
+        if m is None:
+            return _power(one, a, e, self._pmul)
+
+        def mul_mod(x, y):
+            return self._pdivmod(self._pmul(x, y), m)[1]
+        return _power(self._pdivmod(one, m)[1], self._pdivmod(a, m)[1], e,
+                      mul_mod)
+
     def _pgcdex(self, a, b):
         """Extended Euclid: (g, u, v) with g = u*a + v*b, g monic."""
         if not a and not b:
@@ -232,9 +248,6 @@ class Field:
         if isinstance(v, Fraction) and isinstance(self, Rationals):
             return self.element(v)
         raise DescriptorMismatch(f"cannot interpret {v!r} as an element of {self}")
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class Rationals(Field):
@@ -434,16 +447,16 @@ class RationalFunctionField(Field):
         return not a[0]
 
     def format_payload(self, a):
-        num, den = a
-        ns = _ip_str(num, self.var)
-        if den == (1,):
-            return ns
-        ds = _ip_str(den, self.var)
-        if "+" in ns or "*" in ns:
-            ns = f"({ns})"
-        if "+" in ds or "*" in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        from .poly import Poly, format_poly
+        num, den = (format_poly(Poly._of(self._fp, c), var=self.var)
+                    for c in a)
+        if den == "1":
+            return num
+        if "+" in num or "*" in num:
+            num = f"({num})"
+        if "+" in den or "*" in den:
+            den = f"({den})"
+        return f"{num}/{den}"
 
     def random_payload(self, rng):
         trim = self._fp._ptrim
@@ -667,13 +680,7 @@ class FieldElement:
             base = self.payload
         if isinstance(f, PrimeField):
             return FieldElement(f, pow(base, e, f.p))
-        acc = f._from_int(1)
-        while e:
-            if e & 1:
-                acc = f._mul(acc, base)
-            base = f._mul(base, base)
-            e >>= 1
-        return FieldElement(f, acc)
+        return FieldElement(f, _power(f._from_int(1), base, e, f._mul))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -742,17 +749,6 @@ class FieldAutomorphism:
     def compose(self, other):
         """self o other."""
         return FieldAutomorphism(self.power + other.power)
-
-    def inverse_on(self, field):
-        """The inverse automorphism of the given finite field."""
-        if self.power == 0:
-            return IDENTITY
-        if not field.is_finite():
-            raise UnsupportedAutomorphism(
-                f"Frobenius is not an automorphism of {field}")
-        m = field.degree if isinstance(field, ExtensionField) else 1
-        e = self.power % m
-        return FieldAutomorphism((m - e) % m) if e else IDENTITY
 
     def label(self):
         return "id" if self.power == 0 else f"frob^{self.power}"

@@ -12,9 +12,9 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, NotMonic, NotSeparable
+from .errors import InvalidArgument, NotIrreducible, NotMonic, NotSeparable
 from .fields import IDENTITY
-from .poly import Poly, exact_div, format_poly, inverse_mod
+from .poly import Poly, exact_div, ext_gcd, format_poly
 from .quotient import QuotientRing, StabilizingMorphism
 
 
@@ -45,24 +45,33 @@ class RootSeries:
         return self.p.compose(self.u) - self.r_cert * self.p ** self.k
 
 
-@functools.lru_cache(maxsize=None)
+def check_separable(p):
+    """P', raising NotSeparable when it is zero."""
+    dp = p.derivative()
+    if dp.is_zero():
+        raise NotSeparable(f"{format_poly(p)} has zero derivative")
+    return dp
+
+
+@functools.lru_cache(maxsize=128)
 def hensel_root_series(p, k):
     """Iteratively build U = X + sum Q_i P^i with P(U) divisible by P^k.
 
     One power of P is gained per step: given P(U) = R * P^j, the update
     Q_j = -R * (P' o U)^(-1) mod P makes P(U + Q_j P^j) divisible by P^(j+1).
-    Raises NotSeparable when P' = 0.
+    Raises NotSeparable when P' = 0 and NotIrreducible when gcd(P, P') != 1.
     """
     if k < 1:
         raise InvalidArgument("power must be >= 1")
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("base polynomial must be monic of degree >= 1")
-    dp = p.derivative()
-    if dp.is_zero():
-        raise NotSeparable(f"{format_poly(p)} has zero derivative")
+    dp = check_separable(p)
     # U = X mod P throughout (Q_0 = 0), so P' o U = P' mod P and one Bezout
     # inverse serves every step
-    inv_dp = inverse_mod(dp, p)
+    g, inv_dp, _ = ext_gcd(dp, p)
+    if g.degree != 0:
+        raise NotIrreducible(f"{format_poly(p)} is not squarefree: "
+                             f"gcd(P, P') = {format_poly(g)}")
     u = Poly.x(p.field)
     r = Poly.one(p.field)
     q_list = []
@@ -74,20 +83,16 @@ def hensel_root_series(p, k):
     return RootSeries(p=p, k=k, q_list=tuple(q_list), u=u, r_cert=r)
 
 
-def _ring(p, k, assume_irreducible):
-    return QuotientRing(p, k, assume_irreducible=assume_irreducible)
-
-
 def embed_residue_field(p, k, assume_irreducible=False):
     """The section K[X]/(P) -> K[X]/(P^k) given by X -> U."""
     series = hensel_root_series(p, k)
-    source = _ring(p, 1, assume_irreducible)
+    source = QuotientRing(p, 1, assume_irreducible=assume_irreducible)
     target = source.at_power(k)
     return StabilizingMorphism(source, target, IDENTITY,
                                series.u % target.modulus)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _embedding_tables(p, k):
     """Per level l <= k, the images U^i mod P^l of the residue-field basis
     monomials X^i (i < deg P).  Shared by the digit routines."""
@@ -206,7 +211,7 @@ def structure_isomorphism_check(p, k, assume_irreducible=False, seed=0,
     otherwise ``n_samples`` random elements; multiplicativity is checked on
     sampled pairs against truncated convolution.
     """
-    ring = _ring(p, k, assume_irreducible)
+    ring = QuotientRing(p, k, assume_irreducible=assume_irreducible)
     hensel_root_series(p, k)  # raises NotSeparable early
     exhaustive = ring.field.is_finite() and ring.order() <= _EXHAUSTIVE_LIMIT
     rng = random.Random(seed)

@@ -10,22 +10,21 @@ exactly when gcd(S_f, P2) = 1, equivalently when Q_f' != 0.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
     InvalidArgument,
     NotAMorphism,
-    NotSeparable,
     NotWellDefined,
     UnsupportedField,
 )
 from .fields import IDENTITY, ExtensionField, PrimeField
-from .hensel import from_digits, to_digits, ResidueDigits
+from .hensel import check_separable, from_digits, to_digits, ResidueDigits
 from .poly import (
     Poly,
     apply_automorphism_to_poly,
-    enumerate_polys,
     exact_div,
     format_poly,
     gcd,
@@ -62,11 +61,12 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     return StabilizingMorphism(source, target, sigma, q, s_cert=s)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
     """All residue-level morphisms K[X]/(P1) -> K[X]/(P2) for a fixed base
     automorphism, by brute force over the q^d candidate X-images, in
-    lexicographic order of ascending coefficient vectors.
+    lexicographic order of ascending coefficient vectors (constant term
+    first, field elements in enumeration order).
 
     The result is empty or has exactly deg(P2) entries (conjugate roots).
     """
@@ -76,21 +76,16 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
             f"residue isomorphism search requires a finite field, got {field}")
     if p1.degree != p2.degree:
         raise DegreeMismatch("search requires equal degrees")
-    d = p2.degree
     found = []
-    for deg_q in range(1, d):
-        for q in enumerate_polys(field, deg_q, monic=False):
-            try:
-                found.append(residue_morphism_from_Q(p1, p2, sigma, q))
-            except NotAMorphism:
-                pass
-    found.sort(key=lambda f: _vec_key(f.q_image, d))
+    for vec in itertools.product(list(field.elements()), repeat=p2.degree):
+        q = Poly(field, vec)
+        if q.degree < 1:
+            continue
+        try:
+            found.append(residue_morphism_from_Q(p1, p2, sigma, q))
+        except NotAMorphism:
+            pass
     return tuple(found)
-
-
-def _vec_key(q, d):
-    # ascending coefficient vector, constant term first, padded to length d
-    return tuple(q.coeff(i).payload for i in range(d))
 
 
 def lift_morphism(f, n):
@@ -236,9 +231,13 @@ def roots_bijection_check(f):
                                 roots_p2=tuple(roots_p2), images=tuple(images))
 
 
-def _check_separable(p):
-    if p.derivative().is_zero():
-        raise NotSeparable(f"{format_poly(p)} has zero derivative")
+def pick_residue_morphism(candidates, n):
+    """The first candidate whose level-n lift is an isomorphism, else the
+    first candidate; None when there are no candidates."""
+    for f in candidates:
+        if lift_is_isomorphism(f, n).verdict:
+            return f
+    return candidates[0] if candidates else None
 
 
 def _affine_isomorphism(p1, p2, n, assume_irreducible):
@@ -279,8 +278,8 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     every candidate has Q_f' = 0, the isomorphism is routed through the
     digit decompositions of both sides instead.
     """
-    _check_separable(p1)
-    _check_separable(p2)
+    check_separable(p1)
+    check_separable(p2)
     if n < 1:
         raise InvalidArgument("power must be >= 1")
     if p1.degree != p2.degree:
@@ -289,15 +288,11 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         return _affine_isomorphism(p1, p2, n, assume_irreducible)
     if residue_morphism is not None:
         candidates = (residue_morphism,)
-    elif p1.field.is_finite():
-        candidates = find_residue_isomorphisms(p1, p2, sigma)
     else:
-        raise UnsupportedField(
-            f"no residue morphism supplied and search is unavailable over "
-            f"{p1.field}")
-    if not candidates:
+        candidates = find_residue_isomorphisms(p1, p2, sigma)
+    f = pick_residue_morphism(candidates, n)
+    if f is None:
         return None
-    for f in candidates:
-        if lift_is_isomorphism(f, n).verdict:
-            return lift_morphism(f, n)
-    return _digit_transport_isomorphism(candidates[0], n, assume_irreducible)
+    if lift_is_isomorphism(f, n).verdict:
+        return lift_morphism(f, n)
+    return _digit_transport_isomorphism(f, n, assume_irreducible)

@@ -56,14 +56,6 @@ class Poly:
     def x(cls, field):
         return cls(field, (0, 1))
 
-    @classmethod
-    def const(cls, c):
-        return cls(c.field, (c,))
-
-    @classmethod
-    def monomial(cls, field, k, c=1):
-        return cls(field, (0,) * k + (c,))
-
     # -- basic queries ------------------------------------------------------
     @property
     def coeffs(self):
@@ -149,25 +141,12 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        acc = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return Poly._of(self.field, self.field._ppow(self.payload, e))
 
     def pow_mod(self, e, m):
         """self**e reduced mod m, by square and multiply."""
-        acc = Poly.one(self.field) % m
-        base = self % m
-        while e:
-            if e & 1:
-                acc = acc * base % m
-            base = base * base % m
-            e >>= 1
-        return acc
+        return Poly._of(self.field, self.field._ppow(
+            self.payload, e, self._coerce(m).payload))
 
     # -- calculus and composition ------------------------------------------
     def derivative(self):
@@ -176,37 +155,18 @@ class Poly:
                                      for i, c in enumerate(self.payload)][1:]))
 
     def evaluate(self, v):
-        """Horner evaluation at a field element (or any ring value)."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * v + c
-        if acc is None:
-            return self.field.zero()
-        return acc
+        """Value at a field element, by Horner."""
+        return self.compose(v).coeff(0)
 
     def compose(self, q):
-        """Naive composition self(q)."""
-        f = self.field
-        q = self._coerce(q).payload
-        acc = ()
-        for c in reversed(self.payload):
-            acc = f._padd(f._pmul(acc, q), (c,))
-        return Poly._of(f, acc)
+        """Composition self(q), by Horner."""
+        return Poly._of(self.field, self.field._pcompose(
+            self.payload, self._coerce(q).payload))
 
     def compose_mod(self, q, m):
-        """self(q) reduced mod m, Horner with reduction after each step."""
-        if m.is_zero():
-            raise DivisionByZero("composition modulus is zero")
-        f = self.field
-        m = self._coerce(m).payload
-        q = f._pdivmod(self._coerce(q).payload, m)[1]
-        acc = ()
-        for c in reversed(self.payload):
-            acc = f._pdivmod(f._padd(f._pmul(acc, q), (c,)), m)[1]
-        return Poly._of(f, acc)
-
-    def map_coeffs(self, fn):
-        return Poly(self.field, [fn(c) for c in self.coeffs])
+        """self(q) reduced mod m, by Horner with reduction after each step."""
+        return Poly._of(self.field, self.field._pcompose(
+            self.payload, self._coerce(q).payload, self._coerce(m).payload))
 
     def monic(self):
         return Poly._of(self.field, self.field._pmonic(self.payload))
@@ -267,7 +227,7 @@ def apply_automorphism_to_poly(sigma, a):
     """sigma^X: apply a base-field automorphism coefficient-wise, fixing X."""
     if sigma.is_identity:
         return a
-    return a.map_coeffs(sigma.apply)
+    return Poly(a.field, [sigma.apply(c) for c in a.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +398,7 @@ class _Parser:
                 return Poly.x(self.field)
             gen = self._field_generator(text)
             if gen is not None:
-                return Poly.const(gen)
+                return Poly(self.field, (gen,))
             raise ParseError(f"unknown symbol {text!r} over {self.field}")
         if kind == "op" and text == "(":
             node = self.parse_expr()

@@ -88,9 +88,7 @@ class QuotientRing:
 
     def residue_ring(self):
         """K[X]/(P)."""
-        if self.n == 1:
-            return self
-        return QuotientRing(self.p, 1, assume_irreducible=True)
+        return self.at_power(1)
 
     def at_power(self, m):
         """K[X]/(P^m), same P."""

@@ -102,10 +102,6 @@ def _row_echelon(m):
     return [[FieldElement(field, x) for x in row] for row in rows], pivots
 
 
-def _sigma_is_trivial(f):
-    return f.sigma.is_identity or isinstance(f.source.field, PrimeField)
-
-
 def morphism_matrix(f):
     """Matrix of the morphism on the monomial basis of the source.
 
@@ -113,59 +109,38 @@ def morphism_matrix(f):
     morphisms over an extension of F_p give a matrix over F_p on the basis
     a^j * X^i.
     """
-    if _sigma_is_trivial(f):
-        return _matrix_linear(f)
     field = f.source.field
-    if isinstance(field, ExtensionField) and isinstance(field.base, PrimeField):
-        return _matrix_prime_subfield(f)
-    raise UnsupportedAutomorphism(
-        f"cannot linearize sigma = {f.sigma.label()} over {field}")
-
-
-def _column_of(f, elem):
-    rep = elem.rep
-    dim = f.target.dimension
-    return [rep.coeff(i) for i in range(dim)]
-
-
-def _matrix_linear(f):
-    field = f.source.field
-    fx = f(f.source.gen())
-    columns = []
-    img = f.target.one()
-    for i in range(f.source.dimension):
-        if i:
-            img = img * fx
-        columns.append(_column_of(f, img))
-    return Matrix.from_columns(field, columns)
-
-
-def _matrix_prime_subfield(f):
-    ext = f.source.field
-    base = ext.base
+    if f.sigma.is_identity or isinstance(field, PrimeField):
+        scalars, entry_field = [field.one()], field
+    elif isinstance(field, ExtensionField) and isinstance(field.base,
+                                                          PrimeField):
+        scalars = [f.sigma.apply(field.gen() ** j)
+                   for j in range(field.degree)]
+        entry_field = field.base
+    else:
+        raise UnsupportedAutomorphism(
+            f"cannot linearize sigma = {f.sigma.label()} over {field}")
     gen_img = f(f.source.gen())
     columns = []
-    # basis a^j X^i of the source over F_p, X fastest
-    alpha = ext.gen()
-    for j in range(ext.degree):
-        scalar = alpha ** j
-        sig_scalar = f.sigma.apply(scalar)
-        img = f.target.one() * sig_scalar
+    # f(s * X^i) = sigma(s) * f(X)^i, X fastest
+    for s in scalars:
+        img = f.target.one() * s
         for i in range(f.source.dimension):
             if i:
                 img = img * gen_img
-            columns.append(_flatten_column(f, img))
-    return Matrix.from_columns(base, columns)
+            columns.append(_flatten(img, entry_field))
+    return Matrix.from_columns(entry_field, columns)
 
 
-def _flatten_column(f, elem):
-    base = f.target.field.base
-    rep = elem.rep
-    out = []
-    for i in range(f.target.dimension):
-        # an extension payload is a tuple of prime-field payloads
-        out.extend(FieldElement(base, c) for c in rep.coeff(i).payload)
-    return out
+def _flatten(elem, entry_field):
+    """Coordinates of elem over entry_field on the monomial basis, each
+    coefficient split into prime-field coordinates when entry_field is the
+    prime subfield of the coefficient field."""
+    coeffs = [elem.rep.coeff(k) for k in range(elem.ring.dimension)]
+    if elem.ring.field == entry_field:
+        return coeffs
+    # an extension payload is a tuple of prime-field payloads
+    return [FieldElement(entry_field, x) for c in coeffs for x in c.payload]
 
 
 def certify_isomorphism(f):

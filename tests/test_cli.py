@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -56,6 +57,18 @@ def test_embed_reducible_is_input_error(capsys):
                        "--poly", "x^2+x", "--power", "2")
     assert code == 2
     assert "NotIrreducible" in err
+
+
+@pytest.mark.parametrize("field, poly, factor", [
+    ("Q", "x^2+2*x+1", "x+1"),
+    ("F3(t)", "x^2+2*t*x+t^2", "x+t"),
+], ids=["Q", "F3(t)"])
+def test_embed_not_squarefree_names_the_cause(capsys, field, poly, factor):
+    code, out, err = run(capsys, "embed", "--field", field,
+                         "--poly", poly, "--power", "2")
+    assert code == 2 and out == ""
+    assert "error: NotIrreducible: " in err
+    assert f"is not squarefree: gcd(P, P') = {factor}\n" in err
 
 
 # -- digits ------------------------------------------------------------------
@@ -192,6 +205,30 @@ def test_check_noninjective_morphism(tmp_path, capsys):
     assert "isomorphism: False" in out
 
 
+def test_assumed_irreducibility_is_noted_on_stderr(tmp_path, capsys):
+    note = ("note: irreducibility of x^2-1 over Q is assumed, "
+            "not verified\n")
+    code, out, err = run(capsys, "lift", "--field", "Q", "--p1", "x^2-1",
+                         "--p2", "x^2-1", "--power", "2", "--q", "x",
+                         "--json")
+    assert code == 0 and err == note
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(json.loads(out)["morphism"]), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--morphism", str(path))
+    assert code == 0 and err == note
+    assert "isomorphism: True" in out
+
+
+def test_no_irreducibility_note_over_finite_fields(tmp_path, capsys):
+    code, out, err = run(capsys, "lift", "--field", "F2", "--p1", "x^2+x+1",
+                         "--p2", "x^2+x+1", "--power", "2", "--json")
+    assert code == 0 and err == ""
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(json.loads(out)["morphism"]), encoding="utf-8")
+    code, _, err = run(capsys, "check", "--morphism", str(path))
+    assert code == 0 and err == ""
+
+
 def test_check_corrupted_file_is_input_error(tmp_path, capsys):
     F2 = L.PrimeField(2)
     f = L.embed_residue_field(parse_poly(F2, "x^2+x+1"), 2)
@@ -324,3 +361,22 @@ def test_demo_inseparable(capsys):
     assert "gcd(P', P) = x^2+t != 1" in out
     assert "hensel_root_series: NotSeparable" in out
     assert "rings_isomorphic_separable: NotSeparable" in out
+
+
+# -- recorded output ---------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def test_cli_output_matches_recording(tmp_path, capsys):
+    """Replay every recorded invocation: stdout and exit code must be
+    byte-identical.  A ``check`` record carries its morphism JSON, written
+    to a file that replaces the ``{morphism}`` placeholder."""
+    path = tmp_path / "morphism.json"
+    for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        argv = record["argv"]
+        if "morphism" in record:
+            path.write_text(record["morphism"], encoding="utf-8")
+            argv = [str(path) if a == "{morphism}" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (record["exit"], record["stdout"]), argv

@@ -11,13 +11,14 @@ from locring.errors import (
     UnsupportedField,
 )
 from locring.lift import kernel_witness
-from locring.poly import Poly
+from locring.poly import Poly, enumerate_polys
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
 F9 = L.ExtensionField(F3, (1, 0, 1))
+F4 = L.parse_field("F2[x]/(x^2+x+1)")
 
 
 def P(field, text):
@@ -91,6 +92,34 @@ def test_find_residue_isomorphisms_count_is_0_or_degree():
     for p1, p2 in itertools.product(L.enumerate_irreducibles(F3, 3), repeat=2):
         found = L.find_residue_isomorphisms(p1, p2)
         assert len(found) == 3
+
+
+def per_degree_residue_isomorphisms(p1, p2, sigma=L.IDENTITY):
+    """Reference search: X-images of each degree 1..d-1 in counting order,
+    then sorted by ascending coefficient vector."""
+    d = p2.degree
+    found = []
+    for deg_q in range(1, d):
+        for q in enumerate_polys(p1.field, deg_q, monic=False):
+            try:
+                found.append(L.residue_morphism_from_Q(p1, p2, sigma, q))
+            except NotAMorphism:
+                pass
+    found.sort(key=lambda f: tuple(f.q_image.coeff(i).payload
+                                   for i in range(d)))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("field, degree, sigma", [
+    (F2, 2, L.IDENTITY), (F2, 3, L.IDENTITY), (F2, 4, L.IDENTITY),
+    (F3, 2, L.IDENTITY), (F3, 3, L.IDENTITY), (F4, 2, L.frobenius(1)),
+], ids=["F2-d2", "F2-d3", "F2-d4", "F3-d2", "F3-d3", "F4-d2-frob"])
+def test_find_residue_isomorphisms_matches_per_degree_search(field, degree,
+                                                             sigma):
+    irreducibles = L.enumerate_irreducibles(field, degree)
+    for p1, p2 in itertools.product(irreducibles, repeat=2):
+        assert (L.find_residue_isomorphisms(p1, p2, sigma)
+                == per_degree_residue_isomorphisms(p1, p2, sigma))
 
 
 def test_find_residue_isomorphisms_requires_finite():
@@ -243,6 +272,20 @@ def test_rings_isomorphic_degree_one():
     # the morphism sends the maximal ideal generator onto the other one
     src_p = iso.source.element(iso.source.p)
     assert iso(src_p) == iso.target.element(iso.target.p)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rings_isomorphic_digit_transport_fallback(n):
+    # Q_f = X^2 has Q_f' = 0, so its lift is not injective and the
+    # isomorphism is routed through the digit decompositions instead
+    f = frob_f2()
+    p = f.source.p
+    assert not L.lift_is_isomorphism(f, n).verdict
+    iso = L.rings_isomorphic_separable(p, p, n, residue_morphism=f)
+    assert iso is not None
+    assert iso.source.n == iso.target.n == n
+    assert L.certify_isomorphism(iso)
+    assert L.induced_residue_morphism(iso) == f
 
 
 def test_rings_isomorphic_inseparable_raises():
