@@ -12,9 +12,9 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, NotIrreducible, NotMonic, NotSeparable
+from .errors import NotIrreducible, NotMonic, NotSeparable
 from .fields import IDENTITY
-from .poly import Poly, exact_div, ext_gcd, format_poly
+from .poly import Poly, check_power, exact_div, ext_gcd, format_poly
 from .quotient import QuotientRing, StabilizingMorphism
 
 
@@ -61,8 +61,7 @@ def hensel_root_series(p, k):
     Q_j = -R * (P' o U)^(-1) mod P makes P(U + Q_j P^j) divisible by P^(j+1).
     Raises NotSeparable when P' = 0 and NotIrreducible when gcd(P, P') != 1.
     """
-    if k < 1:
-        raise InvalidArgument("power must be >= 1")
+    check_power(p, k)
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("base polynomial must be monic of degree >= 1")
     dp = check_separable(p)
@@ -83,39 +82,12 @@ def hensel_root_series(p, k):
     return RootSeries(p=p, k=k, q_list=tuple(q_list), u=u, r_cert=r)
 
 
+@functools.lru_cache(maxsize=128)
 def embed_residue_field(p, k, assume_irreducible=False):
     """The section K[X]/(P) -> K[X]/(P^k) given by X -> U."""
-    series = hensel_root_series(p, k)
+    u = hensel_root_series(p, k).u  # deg U < k * deg P, so U is reduced
     source = QuotientRing(p, 1, assume_irreducible=assume_irreducible)
-    target = source.at_power(k)
-    return StabilizingMorphism(source, target, IDENTITY,
-                               series.u % target.modulus)
-
-
-@functools.lru_cache(maxsize=128)
-def _embedding_tables(p, k):
-    """Per level l <= k, the images U^i mod P^l of the residue-field basis
-    monomials X^i (i < deg P).  Shared by the digit routines."""
-    series = hensel_root_series(p, k)
-    tables = {}
-    modulus = Poly.one(p.field)
-    for level in range(1, k + 1):
-        modulus = modulus * p
-        u = series.u % modulus
-        basis = [Poly.one(p.field)]
-        for _ in range(1, p.degree):
-            basis.append(basis[-1] * u % modulus)
-        tables[level] = (modulus, tuple(basis))
-    return series, tables
-
-
-def _embed_rep(digit_rep, basis):
-    """Linear combination sum digit_i * U^i from a precomputed basis table."""
-    acc = Poly.zero(digit_rep.field)
-    for i, c in enumerate(digit_rep.coeffs):
-        if not c.is_zero():
-            acc = acc + c * basis[i]
-    return acc
+    return StabilizingMorphism(source, source.at_power(k), IDENTITY, u)
 
 
 @dataclass(frozen=True)
@@ -135,22 +107,20 @@ class ResidueDigits:
 
 def to_digits(a):
     """Digit expansion: repeatedly strip the residue of the element, subtract
-    its embedded image and divide the representative exactly by P."""
+    its embedded image and divide the representative exactly by P.
+
+    The level-k embedding agrees with the level-(k-j) one modulo P^(k-j), so
+    it serves every step; the representative keeps degree < k * deg P."""
     ring = a.ring
     p, k = ring.p, ring.n
-    _, tables = _embedding_tables(p, k)
+    embed = embed_residue_field(p, k, assume_irreducible=True)
     residue_ring = ring.residue_ring()
     rep = a.rep
     digits = []
     for j in range(k):
-        d = rep % p
-        digits.append(residue_ring.element(d))
-        if j == k - 1:
-            break
-        modulus, basis = tables[k - j]
-        embedded = _embed_rep(d, basis)
-        diff = (rep - embedded) % modulus
-        rep = exact_div(diff, p)
+        digits.append(residue_ring.element(rep % p))
+        if j < k - 1:
+            rep = exact_div(rep - embed(digits[-1]).rep, p)
     return ResidueDigits(ring=ring, digits=tuple(digits))
 
 
@@ -160,13 +130,10 @@ def from_digits(d):
     p, k = ring.p, ring.n
     if len(d.digits) != k:
         raise ValueError(f"expected {k} digits, got {len(d.digits)}")
-    _, tables = _embedding_tables(p, k)
-    basis = tables[k][1]
+    embed = embed_residue_field(p, k, assume_irreducible=True)
     acc = Poly.zero(p.field)
-    pj = Poly.one(p.field)
-    for digit in d.digits:
-        acc = acc + _embed_rep(digit.rep, basis) * pj
-        pj = pj * p
+    for digit in reversed(d.digits):
+        acc = acc * p + embed(digit).rep
     return ring.element(acc)
 
 

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    CriterionDisagreement,
     DegreeMismatch,
     InvalidArgument,
     NotAMorphism,
@@ -76,15 +77,13 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
             f"residue isomorphism search requires a finite field, got {field}")
     if p1.degree != p2.degree:
         raise DegreeMismatch("search requires equal degrees")
+    shifted = apply_automorphism_to_poly(sigma, p1)
     found = []
-    for vec in itertools.product(list(field.elements()), repeat=p2.degree):
-        q = Poly(field, vec)
-        if q.degree < 1:
-            continue
-        try:
+    for vec in itertools.product([e.payload for e in field.elements()],
+                                 repeat=p2.degree):
+        q = Poly._of(field, field._ptrim(vec))
+        if q.degree >= 1 and shifted.compose_mod(q, p2).is_zero():
             found.append(residue_morphism_from_Q(p1, p2, sigma, q))
-        except NotAMorphism:
-            pass
     return tuple(found)
 
 
@@ -92,10 +91,8 @@ def lift_morphism(f, n):
     """The level-n morphism with the same sigma and X-image.
 
     Well-definedness follows from sigma^X(P1^n) o Q_f = S_f^n * P2^n and is
-    re-verified by the morphism constructor.
+    re-verified by the morphism constructor; the rings reject n < 1.
     """
-    if n < 1:
-        raise InvalidArgument("power must be >= 1")
     if n == f.source.n == f.target.n:
         return f
     source = f.source.at_power(n)
@@ -116,10 +113,19 @@ class LiftReport:
     verdict: bool
 
 
+def _residue_image(f):
+    """Q_f = q mod P2, which both lift criteria need nonconstant."""
+    q_f = f.q_image % f.target.p
+    if q_f.degree < 1:
+        raise DegreeMismatch(f"Q_f = {format_poly(q_f)} is constant; the lift "
+                             "criteria need deg P2 >= 2")
+    return q_f
+
+
 def _composite(f):
-    """sigma^X(P1) o Q_f, with Q_f reduced mod P2."""
+    """sigma^X(P1) o Q_f."""
     shifted = apply_automorphism_to_poly(f.sigma, f.source.p)
-    return shifted.compose(f.q_image % f.target.p)
+    return shifted.compose(_residue_image(f))
 
 
 def _cofactor(f):
@@ -137,13 +143,12 @@ def lift_is_isomorphism(f, n):
     """
     if n < 1:
         raise InvalidArgument("power must be >= 1")
-    q_f = f.q_image % f.target.p
+    q_f = _residue_image(f)
     s_f = _cofactor(f)
     p2 = f.target.p
     deriv_nonzero = not q_f.derivative().is_zero()
     gcd_one = gcd(s_f, p2).degree == 0
     if deriv_nonzero != gcd_one:
-        from .errors import CriterionDisagreement
         raise CriterionDisagreement(
             f"gcd(S_f, P2) = 1 is {gcd_one} but Q_f' != 0 is {deriv_nonzero} "
             f"for Q_f = {format_poly(q_f)}")

@@ -17,9 +17,23 @@ from .errors import (
     DescriptorMismatch,
     DivisionByZero,
     InexactDivision,
+    InvalidArgument,
     ParseError,
     UnsupportedField,
 )
+
+# bound on the degree of a parsed polynomial and on the degree n * deg P of a
+# ring modulus P^n, both of which come from outside input
+MAX_DEGREE = 1024
+
+
+def check_power(p, n):
+    """InvalidArgument unless n >= 1 and P^n has degree <= MAX_DEGREE."""
+    if n < 1:
+        raise InvalidArgument("power must be >= 1")
+    if n * p.degree > MAX_DEGREE:
+        raise InvalidArgument(f"deg P^n = {n * p.degree} exceeds the degree "
+                              f"bound {MAX_DEGREE}")
 
 
 class Poly:
@@ -345,6 +359,9 @@ class _Parser:
                 start = self.i
                 rhs = self.parse_factor()
                 if text == "*":
+                    if node.degree + rhs.degree > MAX_DEGREE:
+                        raise ParseError("a product raises the degree above "
+                                         f"the bound {MAX_DEGREE}")
                     node = node * rhs
                 else:
                     spelled = "".join(t for _, t in self.tokens[start:self.i])
@@ -383,6 +400,11 @@ class _Parser:
             kind, text = self.next()
             if kind != "int":
                 raise ParseError(f"expected integer exponent, got {text!r}")
+            # the length test keeps int() off arbitrarily long digit strings
+            if (len(text) > len(str(MAX_DEGREE))
+                    or max(node.degree, 1) * int(text) > MAX_DEGREE):
+                raise ParseError(f"^{text} raises the degree above the "
+                                 f"bound {MAX_DEGREE}")
             return node ** int(text)
         return node
 

@@ -13,7 +13,6 @@ import json
 from . import fields as _fields
 from .errors import (
     BadTarget,
-    InvalidArgument,
     NotAUnit,
     NotIrreducible,
     NotMonic,
@@ -25,6 +24,7 @@ from .errors import (
 from .poly import (
     Poly,
     apply_automorphism_to_poly,
+    check_power,
     ext_gcd,
     format_poly,
     is_irreducible,
@@ -46,8 +46,7 @@ class QuotientRing:
             raise NotIrreducible("modulus base must have degree >= 1")
         if not p.is_monic():
             raise NotMonic(f"{p} is not monic")
-        if n < 1:
-            raise InvalidArgument("power must be >= 1")
+        check_power(p, n)
         if p.field.is_finite():
             if not assume_irreducible and not is_irreducible(p):
                 raise NotIrreducible(f"{p} is reducible over {p.field}")
@@ -220,33 +219,46 @@ class QuotientElement:
 class StabilizingMorphism:
     """Ring morphism between quotient rings given by (sigma, image of X).
 
-    The constructor verifies the well-definedness certificate
-    ``sigma^X(P1^n1)(q) = 0 mod P2^n2`` and raises :class:`NotWellDefined`
-    with the nonzero residue as witness when it fails.
+    The constructor stores ``images``, the payloads of q^0..q^D mod the target
+    modulus (D the source dimension), and applies them to verify the
+    certificate ``sigma^X(P1^n1)(q) = 0 mod P2^n2``; it raises
+    :class:`NotWellDefined` with the nonzero residue as witness when it fails.
 
     ``s_cert`` optionally carries the exact cofactor S with
     ``sigma^X(P1) o Q = S * P2`` for level-1 morphisms.
     """
 
-    __slots__ = ("source", "target", "sigma", "q_image", "s_cert")
+    __slots__ = ("source", "target", "sigma", "q_image", "s_cert", "images")
 
     def __init__(self, source, target, sigma, q, s_cert=None):
-        if q.field != target.field:
-            raise RingMismatch("X-image over the wrong field")
+        if not q.field == source.field == target.field:
+            raise RingMismatch("X-image, source and target fields differ")
         q = q % target.modulus
-        shifted = apply_automorphism_to_poly(sigma, source.modulus)
-        residue = shifted.compose_mod(q, target.modulus)
+        f, m = target.field, target.modulus.payload
+        images = [(f._from_int(1),)]
+        for _ in range(source.dimension):
+            images.append(f._pdivmod(f._pmul(images[-1], q.payload), m)[1])
+        for name, value in (("source", source), ("target", target),
+                            ("sigma", sigma), ("q_image", q),
+                            ("s_cert", s_cert), ("images", tuple(images))):
+            object.__setattr__(self, name, value)
+        residue = self._apply(source.modulus)
         if not residue.is_zero():
             raise NotWellDefined(
                 f"x -> {format_poly(q)} does not map ({format_poly(source.p)})^"
                 f"{source.n} into ({format_poly(target.p)})^{target.n}; "
                 f"residue {format_poly(residue)}",
                 witness=residue)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "q_image", q)
-        object.__setattr__(self, "s_cert", s_cert)
+
+    def _apply(self, rep):
+        """sigma^X(rep)(q) mod the target modulus, for deg rep <= D."""
+        f = self.target.field
+        acc = ()
+        for c, img in zip(apply_automorphism_to_poly(self.sigma, rep).payload,
+                          self.images):
+            if not f._is_zero(c):
+                acc = f._padd(acc, f._pmul((c,), img))
+        return Poly._of(f, acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizingMorphism is immutable")
@@ -262,18 +274,15 @@ class StabilizingMorphism:
     def __call__(self, a):
         if a.ring != self.source:
             raise RingMismatch(f"{a!r} is not in {self.source}")
-        rep = apply_automorphism_to_poly(self.sigma, a.rep)
-        return self.target.element(
-            rep.compose_mod(self.q_image, self.target.modulus))
+        return QuotientElement(self.target, self._apply(a.rep))
 
     def compose(self, other):
         """self o other (apply ``other`` first)."""
         if other.target != self.source:
             raise RingMismatch("morphism composition: target/source mismatch")
-        q = apply_automorphism_to_poly(self.sigma, other.q_image)
-        q = q.compose_mod(self.q_image, self.target.modulus)
         return StabilizingMorphism(other.source, self.target,
-                                   self.sigma.compose(other.sigma), q)
+                                   self.sigma.compose(other.sigma),
+                                   self._apply(other.q_image))
 
     def __eq__(self, other):
         return (isinstance(other, StabilizingMorphism)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -361,6 +362,35 @@ def test_demo_inseparable(capsys):
     assert "gcd(P', P) = x^2+t != 1" in out
     assert "hensel_root_series: NotSeparable" in out
     assert "rings_isomorphic_separable: NotSeparable" in out
+
+
+# -- sizes from outside input are bounded ------------------------------------
+
+def _assert_bounded(capsys, deadline, *argv):
+    start = time.perf_counter()
+    with deadline(5):
+        code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, err)
+    assert "bound 1024" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--field", "F2", "--poly", "x^1000000000+x+1", "--power", "1"],
+    ["digits", "--field", "F2", "--poly", "x^2+x+1", "--power", "1000000000",
+     "--element", "x"],
+    LIFT + ["--power", "1000000000"],
+], ids=["embed-exponent", "digits-power", "lift-power"])
+def test_outside_sizes_are_bounded(capsys, deadline, argv):
+    _assert_bounded(capsys, deadline, *argv)
+
+
+def test_check_ring_power_is_bounded(tmp_path, capsys, deadline):
+    ring = {"field": "F2", "p": "x^2+x+1", "n": 1000000000}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"source": ring, "target": ring, "sigma": "id",
+                                "q_image": "x"}), encoding="utf-8")
+    _assert_bounded(capsys, deadline, "check", "--morphism", str(path))
 
 
 # -- recorded output ---------------------------------------------------------

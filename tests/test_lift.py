@@ -19,6 +19,7 @@ Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
 F9 = L.ExtensionField(F3, (1, 0, 1))
 F4 = L.parse_field("F2[x]/(x^2+x+1)")
+F5 = L.PrimeField(5)
 
 
 def P(field, text):
@@ -187,6 +188,17 @@ def test_kernel_witness():
         assert not w.is_zero()
         lifted = L.lift_morphism(f, n)
         assert lifted(w).is_zero()
+
+
+@pytest.mark.parametrize("criterion", [
+    lambda f: L.lift_is_isomorphism(f, 2),
+    lambda f: kernel_witness(f, 2),
+], ids=["lift_is_isomorphism", "kernel_witness"])
+def test_lift_criteria_reject_constant_q_f(criterion, deadline):
+    # the affine X -> X + 2 reduces to the constant 4 mod P2 = X + 3
+    g = L.rings_isomorphic_separable(P(F5, "x+1"), P(F5, "x+3"), 2)
+    with deadline(5), pytest.raises(DegreeMismatch):
+        criterion(g)
 
 
 def test_functoriality_with_projections():

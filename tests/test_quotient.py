@@ -181,3 +181,47 @@ def test_certificate_residue_is_exactly_zero():
     f = frob_morphism()
     shifted = L.apply_automorphism_to_poly(f.sigma, f.source.modulus)
     assert shifted.compose(f.q_image) % f.target.modulus == Poly.zero(F2)
+
+
+# -- the action through the stored powers of q --------------------------------
+
+def _cross_f3():
+    # every element of F3[x]/((x^2+1)^2)
+    f = L.rings_isomorphic_separable(P(F3, "x^2+1"), P(F3, "x^2+x+2"), 2)
+    return f, list(f.source.elements())
+
+
+def _non_injective_f2():
+    # x -> x^2 on F2[x]/((x^3+x+1)^2): a lift that is not injective
+    p = P(F2, "x^3+x+1")
+    f = L.residue_morphism_from_Q(p, p, L.IDENTITY, P(F2, "x^2"))
+    f = L.lift_morphism(f, 2)
+    return f, list(f.source.elements())
+
+
+def _frobenius_twisted_f4():
+    F4 = L.parse_field("F2[x]/(x^2+x+1)")
+    p1, p2 = L.enumerate_irreducibles(F4, 2)[:2]
+    f = L.find_residue_isomorphisms(p1, p2, L.frobenius(1))[0]
+    f = L.lift_morphism(f, 2)
+    return f, list(f.source.elements())
+
+
+def _sampled_q():
+    # X -> X - 2 sends x^2-2 onto (x-2)^2-2 exactly
+    p1, p2 = P(Q, "x^2-2"), P(Q, "x^2-4*x+2")
+    source = L.make_ring(p1, 3, assume_irreducible=True)
+    target = L.make_ring(p2, 3, assume_irreducible=True)
+    f = L.make_morphism(source, target, L.IDENTITY, P(Q, "x-2"))
+    rng = random.Random(3)
+    return f, [source.random_element(rng) for _ in range(40)]
+
+
+@pytest.mark.parametrize("make", [_cross_f3, _non_injective_f2,
+                                  _frobenius_twisted_f4, _sampled_q],
+                         ids=["F3-cross", "F2-non-injective", "F4-frob", "Q"])
+def test_action_matches_horner_composition(make):
+    f, elements = make()
+    for a in elements:
+        shifted = L.apply_automorphism_to_poly(f.sigma, a.rep)
+        assert f(a).rep == shifted.compose_mod(f.q_image, f.target.modulus)

@@ -134,11 +134,12 @@ def test_exhaustive_check_detects_corruption():
     # substitution map violates the morphism law somewhere
     f = L.embed_residue_field(P(F2, "x^2+x+1"), 2)
     corrupted = object.__new__(L.StabilizingMorphism)
+    q = (f.q_image + f.source.p) % f.target.modulus
+    images = tuple(q.pow_mod(i, f.target.modulus).payload
+                   for i in range(f.source.dimension + 1))
     for name, value in [("source", f.source), ("target", f.target),
-                        ("sigma", f.sigma),
-                        ("q_image", (f.q_image + f.source.p)
-                                    % f.target.modulus),
-                        ("s_cert", None)]:
+                        ("sigma", f.sigma), ("q_image", q),
+                        ("s_cert", None), ("images", images)]:
         object.__setattr__(corrupted, name, value)
     report = exhaustive_morphism_check(corrupted)
     assert not report.passed
