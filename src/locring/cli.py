@@ -195,9 +195,9 @@ def _survey_rows(field, max_degree, max_power, sigmas):
                     for f in morphisms:
                         for n in range(1, max_power + 1):
                             if degree == 1:
-                                iso = rings_isomorphic_separable(
-                                    p1, p2, n, sigma=sigma)
-                                q_f = iso.q_image  # affine image, not mod P2
+                                # the rows print the sigma = id isomorphism
+                                iso = rings_isomorphic_separable(p1, p2, n)
+                                q_f = iso.q_image  # X-image, not mod P2
                                 s_f = Poly.one(field)
                                 verdict = True
                                 lifted = iso

@@ -761,7 +761,7 @@ class FieldAutomorphism:
         if text == "frob":
             return FieldAutomorphism(1)
         if text.startswith("frob^") and text[5:].isdecimal():
-            return FieldAutomorphism(int(text[5:]))
+            return FieldAutomorphism(_parse_int(text[5:]))
         raise ParseError(f"unknown automorphism {text!r} (expected id or frob^e)")
 
     def __eq__(self, other):
@@ -786,6 +786,15 @@ def frobenius(e=1):
 # ---------------------------------------------------------------------------
 # descriptor text syntax: Q | F2 | F3(t) | F2[x]/(x^2+x+1)
 
+def _parse_int(text):
+    """int(text) of a digit string; ParseError where int() refuses one past
+    Python's limit on integer strings (4,300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long") from None
+
+
 def parse_field(text):
     """Parse a field descriptor such as ``Q``, ``F2``, ``F3(t)`` or
     ``F2[x]/(x^2+x+1)``."""
@@ -800,7 +809,7 @@ def parse_field(text):
         i += 1
     if i == 0:
         raise ParseError(f"missing characteristic in field descriptor {text!r}")
-    p = int(rest[:i])
+    p = _parse_int(rest[:i])
     tail = rest[i:]
     if not tail:
         return PrimeField(p)

@@ -113,7 +113,8 @@ def to_digits(a):
     it serves every step; the representative keeps degree < k * deg P."""
     ring = a.ring
     p, k = ring.p, ring.n
-    embed = embed_residue_field(p, k, assume_irreducible=True)
+    embed = embed_residue_field(
+        p, k, assume_irreducible=not p.field.is_finite())
     residue_ring = ring.residue_ring()
     rep = a.rep
     digits = []
@@ -130,7 +131,8 @@ def from_digits(d):
     p, k = ring.p, ring.n
     if len(d.digits) != k:
         raise ValueError(f"expected {k} digits, got {len(d.digits)}")
-    embed = embed_residue_field(p, k, assume_irreducible=True)
+    embed = embed_residue_field(
+        p, k, assume_irreducible=not p.field.is_finite())
     acc = Poly.zero(p.field)
     for digit in reversed(d.digits):
         acc = acc * p + embed(digit).rep

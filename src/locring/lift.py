@@ -26,11 +26,21 @@ from .hensel import check_separable, from_digits, to_digits, ResidueDigits
 from .poly import (
     Poly,
     apply_automorphism_to_poly,
-    exact_div,
     format_poly,
     gcd,
 )
 from .quotient import QuotientRing, StabilizingMorphism
+
+
+def _residue_cofactor(p1, p2, sigma, q):
+    """S_f with sigma^X(P1) o q = S_f * P2; NotAMorphism names the remainder
+    when P2 does not divide."""
+    s, rem = divmod(apply_automorphism_to_poly(sigma, p1).compose(q), p2)
+    if not rem.is_zero():
+        raise NotAMorphism(
+            f"x -> {format_poly(q)} is not a morphism: remainder "
+            f"{format_poly(rem)}", witness=rem)
+    return s
 
 
 def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
@@ -39,24 +49,16 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     Verifies that sigma^X(P1) o Q is divisible by P2 and stores the exact
     cofactor S_f.  A level-1 morphism between the residue fields is
     automatically injective and hence (equal dimensions) an isomorphism.
+    At degree 1 the X-image is the constant sigma(c1), c1 the root of P1;
+    at higher degree no constant passes.
     """
     if p1.degree != p2.degree:
         raise DegreeMismatch(
             f"deg {format_poly(p1)} = {p1.degree} != {p2.degree} = "
             f"deg {format_poly(p2)}")
-    if p2.degree < 2:
-        raise DegreeMismatch(
-            "X-image morphisms need degree >= 2 (degree-1 moduli are handled "
-            "by rings_isomorphic_separable)")
-    if q.degree < 1 or q.degree >= p2.degree:
-        raise DegreeMismatch(
-            f"X-image must be nonconstant of degree < {p2.degree}")
-    comp = apply_automorphism_to_poly(sigma, p1).compose(q)
-    s, rem = divmod(comp, p2)
-    if not rem.is_zero():
-        raise NotAMorphism(
-            f"x -> {format_poly(q)} is not a morphism: remainder "
-            f"{format_poly(rem)}", witness=rem)
+    if q.degree >= p2.degree:
+        raise DegreeMismatch(f"X-image must have degree < {p2.degree}")
+    s = _residue_cofactor(p1, p2, sigma, q)
     source = QuotientRing(p1, 1, assume_irreducible=assume_irreducible)
     target = QuotientRing(p2, 1, assume_irreducible=assume_irreducible)
     return StabilizingMorphism(source, target, sigma, q, s_cert=s)
@@ -77,13 +79,16 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
             f"residue isomorphism search requires a finite field, got {field}")
     if p1.degree != p2.degree:
         raise DegreeMismatch("search requires equal degrees")
+    source, target = QuotientRing(p1, 1), QuotientRing(p2, 1)
     shifted = apply_automorphism_to_poly(sigma, p1)
     found = []
     for vec in itertools.product([e.payload for e in field.elements()],
                                  repeat=p2.degree):
         q = Poly._of(field, field._ptrim(vec))
-        if q.degree >= 1 and shifted.compose_mod(q, p2).is_zero():
-            found.append(residue_morphism_from_Q(p1, p2, sigma, q))
+        if shifted.compose_mod(q, p2).is_zero():
+            s = _residue_cofactor(p1, p2, sigma, q)
+            found.append(StabilizingMorphism(source, target, sigma, q,
+                                             s_cert=s))
     return tuple(found)
 
 
@@ -113,27 +118,6 @@ class LiftReport:
     verdict: bool
 
 
-def _residue_image(f):
-    """Q_f = q mod P2, which both lift criteria need nonconstant."""
-    q_f = f.q_image % f.target.p
-    if q_f.degree < 1:
-        raise DegreeMismatch(f"Q_f = {format_poly(q_f)} is constant; the lift "
-                             "criteria need deg P2 >= 2")
-    return q_f
-
-
-def _composite(f):
-    """sigma^X(P1) o Q_f."""
-    shifted = apply_automorphism_to_poly(f.sigma, f.source.p)
-    return shifted.compose(_residue_image(f))
-
-
-def _cofactor(f):
-    if f.s_cert is not None:
-        return f.s_cert
-    return exact_div(_composite(f), f.target.p)
-
-
 def lift_is_isomorphism(f, n):
     """Decide whether the level-n lift of a residue morphism is bijective.
 
@@ -143,9 +127,11 @@ def lift_is_isomorphism(f, n):
     """
     if n < 1:
         raise InvalidArgument("power must be >= 1")
-    q_f = _residue_image(f)
-    s_f = _cofactor(f)
     p2 = f.target.p
+    q_f = f.q_image % p2
+    s_f = f.s_cert
+    if s_f is None:
+        s_f = _residue_cofactor(f.source.p, p2, f.sigma, q_f)
     deriv_nonzero = not q_f.derivative().is_zero()
     gcd_one = gcd(s_f, p2).degree == 0
     if deriv_nonzero != gcd_one:
@@ -161,13 +147,15 @@ def lift_is_isomorphism(f, n):
 def kernel_witness(f, n):
     """For a residue morphism whose level-n lift (n >= 2) is NOT injective:
     the nonzero class of P1^e killed by the lift, where e = ceil(n/m) and m
-    is the multiplicity of P2 in sigma^X(P1) o Q_f."""
+    is the multiplicity of P2 in sigma^X(P1) o Q_f, capped at n (at degree 1
+    the composite is 0, Q_f being the root sigma(c1))."""
     if n < 2:
         raise ValueError("kernel witnesses exist only for n >= 2")
-    comp = _composite(f)
     p2 = f.target.p
+    comp = apply_automorphism_to_poly(f.sigma, f.source.p).compose(
+        f.q_image % p2)
     m = 0
-    while True:
+    while m < n:
         quo, rem = divmod(comp, p2)
         if not rem.is_zero():
             break
@@ -245,30 +233,16 @@ def pick_residue_morphism(candidates, n):
     return candidates[0] if candidates else None
 
 
-def _affine_isomorphism(p1, p2, n, assume_irreducible):
-    # degree-1 moduli: P_i = X + a_i with root c_i = -a_i; the substitution
-    # X -> X + (a_2 - a_1) sends P1 to P2 exactly
-    shift = p2.coeff(0) - p1.coeff(0)
-    q = Poly.x(p1.field) + shift
-    source = QuotientRing(p1, n, assume_irreducible=assume_irreducible)
-    target = QuotientRing(p2, n, assume_irreducible=assume_irreducible)
-    return StabilizingMorphism(source, target, IDENTITY, q,
-                               s_cert=Poly.one(p1.field))
-
-
-def _digit_transport_isomorphism(f, n, assume_irreducible):
+def _digit_transport_isomorphism(f, n):
     # Route through the digit decompositions of both sides: the composite
     # K[X]/(P1^n) ~ (K[X]/(P1))[Y]/(Y^n) ~ (K[X]/(P2))[Y]/(Y^n) ~ K[X]/(P2^n)
     # is determined by where it sends the class of X.
-    p1 = f.source.p
-    p2 = f.target.p
-    source = QuotientRing(p1, n, assume_irreducible=assume_irreducible)
-    target = QuotientRing(p2, n, assume_irreducible=assume_irreducible)
+    source = f.source.at_power(n)
+    target = f.target.at_power(n)
     digits = to_digits(source.gen())
     moved = ResidueDigits(ring=target,
                           digits=tuple(f(d) for d in digits.digits))
-    q = from_digits(moved).rep
-    return StabilizingMorphism(source, target, f.sigma, q)
+    return StabilizingMorphism(source, target, f.sigma, from_digits(moved).rep)
 
 
 def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
@@ -279,9 +253,11 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
 
     Over finite fields the residue fields are isomorphic iff the degrees
     agree; over other fields a residue morphism must be supplied by the
-    caller.  Candidates whose lift criterion holds are lifted directly; if
-    every candidate has Q_f' = 0, the isomorphism is routed through the
-    digit decompositions of both sides instead.
+    caller, except at degree 1, where the one residue morphism sends X to
+    sigma(c1), c1 the root of P1.  A residue morphism whose lift criterion
+    holds is lifted directly; if every candidate has Q_f' = 0 (always so at
+    degree 1), the isomorphism is routed through the digit decompositions
+    of both sides instead.
     """
     check_separable(p1)
     check_separable(p2)
@@ -289,10 +265,13 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         raise InvalidArgument("power must be >= 1")
     if p1.degree != p2.degree:
         return None
-    if p1.degree == 1:
-        return _affine_isomorphism(p1, p2, n, assume_irreducible)
     if residue_morphism is not None:
         candidates = (residue_morphism,)
+    elif p1.degree == 1:
+        # X - sigma^X(P1) = X - (X - sigma(c1)) = sigma(c1)
+        root = Poly.x(p1.field) - apply_automorphism_to_poly(sigma, p1)
+        candidates = (residue_morphism_from_Q(
+            p1, p2, sigma, root, assume_irreducible=assume_irreducible),)
     else:
         candidates = find_residue_isomorphisms(p1, p2, sigma)
     f = pick_residue_morphism(candidates, n)
@@ -300,4 +279,4 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         return None
     if lift_is_isomorphism(f, n).verdict:
         return lift_morphism(f, n)
-    return _digit_transport_isomorphism(f, n, assume_irreducible)
+    return _digit_transport_isomorphism(f, n)

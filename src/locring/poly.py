@@ -412,7 +412,7 @@ class _Parser:
         kind, text = self.next()
         if kind == "int":
             try:
-                return Poly(self.field, (int(text),))
+                return Poly(self.field, (fields._parse_int(text),))
             except DivisionByZero:
                 raise ParseError(f"invalid coefficient '{text}' over {self.field}")
         if kind == "name":

@@ -136,6 +136,22 @@ def test_lift_bad_q_is_input_error(capsys):
     assert "NotAMorphism" in err
 
 
+def test_lift_constant_q_is_not_a_morphism(capsys):
+    code, _, err = run(capsys, *LIFT, "--power", "2", "--q", "2")
+    _assert_input_error(code, err)
+    assert "NotAMorphism" in err
+
+
+def test_lift_degree_one_is_not_injective(capsys):
+    # the one residue morphism sends x to 2, the root of x+1; Q_f is constant
+    code, out, _ = run(capsys, "lift", "--field", "F3",
+                       "--p1", "x+1", "--p2", "x+2", "--power", "2")
+    assert code == 0
+    assert out.splitlines()[:6] == [
+        "Q_f = 2", "S_f = 0", "Q_f' != 0: False", "gcd(S_f, P2) = 1: False",
+        "verdict: not injective", "kernel witness: class of x+1"]
+
+
 def test_lift_json_morphism_round_trips(capsys):
     code, out, _ = run(capsys, "lift", "--field", "F3",
                        "--p1", "x^2+1", "--p2", "x^2+x+2",
@@ -170,6 +186,19 @@ def test_find_iso_frobenius_sigma(capsys):
     # frobenius is trivial on F3, so the same morphisms appear
     assert code == 0
     assert len(json.loads(out)) == 2
+
+
+def test_find_iso_degree_one(capsys):
+    code, out, _ = run(capsys, "find-iso", "--field", "F3",
+                       "--p1", "x+1", "--p2", "x+2")
+    assert (code, out) == (0, "q = 2\n")
+
+
+def test_find_iso_reducible_is_input_error(capsys):
+    code, _, err = run(capsys, "find-iso", "--field", "F2",
+                       "--p1", "x^2", "--p2", "x^2+x+1")
+    _assert_input_error(code, err)
+    assert "NotIrreducible" in err
 
 
 def test_cli_is_deterministic(capsys):
@@ -366,13 +395,13 @@ def test_demo_inseparable(capsys):
 
 # -- sizes from outside input are bounded ------------------------------------
 
-def _assert_bounded(capsys, deadline, *argv):
+def _assert_bounded(capsys, deadline, *argv, expected="bound 1024"):
     start = time.perf_counter()
     with deadline(5):
         code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     _assert_input_error(code, err)
-    assert "bound 1024" in err
+    assert expected in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -383,6 +412,18 @@ def _assert_bounded(capsys, deadline, *argv):
 ], ids=["embed-exponent", "digits-power", "lift-power"])
 def test_outside_sizes_are_bounded(capsys, deadline, argv):
     _assert_bounded(capsys, deadline, *argv)
+
+
+LONG = "1" * 5000  # past Python's 4,300-digit limit for int() of a string
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--field", "Q", "--poly", f"x^2+{LONG}", "--power", "1"],
+    ["embed", "--field", f"F{LONG}", "--poly", "x^2+1", "--power", "1"],
+    LIFT + ["--power", "1", "--sigma", f"frob^{LONG}"],
+], ids=["coefficient", "characteristic", "sigma-exponent"])
+def test_long_digit_strings_are_input_errors(capsys, deadline, argv):
+    _assert_bounded(capsys, deadline, *argv, expected="ParseError")
 
 
 def test_check_ring_power_is_bounded(tmp_path, capsys, deadline):

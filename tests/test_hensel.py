@@ -160,6 +160,17 @@ def test_digits_of_powers_of_p():
         assert d.digits == expected
 
 
+def test_digits_reuse_the_cached_embedding():
+    # one embedding per (P, k): the digits ask for the same cache entry as
+    # a caller that passes assume_irreducible=False over a finite field
+    p = P(F3, "x^2+x+2")
+    L.embed_residue_field(p, 3, assume_irreducible=False)
+    misses = L.embed_residue_field.cache_info().misses
+    ring = L.make_ring(p, 3)
+    L.from_digits(L.to_digits(ring.gen()))
+    assert L.embed_residue_field.cache_info().misses == misses
+
+
 def test_digits_round_trip_exhaustive():
     ring = L.make_ring(P(F2, "x^2+x+1"), 2)
     for a in ring.elements():

@@ -4,14 +4,16 @@ import random
 import pytest
 
 import locring as L
+from locring import quotient
 from locring.errors import (
     DegreeMismatch,
     NotAMorphism,
+    NotIrreducible,
     NotSeparable,
     UnsupportedField,
 )
 from locring.lift import kernel_witness
-from locring.poly import Poly, enumerate_polys
+from locring.poly import Poly, enumerate_polys, is_irreducible
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
@@ -71,6 +73,34 @@ def test_residue_morphism_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         L.residue_morphism_from_Q(P(F3, "x^2+1"), P(F3, "x^3+2*x+1"),
                                   L.IDENTITY, Poly.x(F3))
+
+
+def test_residue_morphism_rejects_constant_at_degree_2():
+    with pytest.raises(NotAMorphism) as exc:
+        L.residue_morphism_from_Q(P(F3, "x^2+1"), P(F3, "x^2+x+2"),
+                                  L.IDENTITY, P(F3, "2"))
+    assert exc.value.witness == P(F3, "2")  # 2^2 + 1 = 5
+
+
+def test_find_residue_isomorphisms_rejects_reducible():
+    # no candidate passes, yet the reducible modulus is still reported
+    with pytest.raises(NotIrreducible):
+        L.find_residue_isomorphisms(P(F2, "x^2"), P(F2, "x^2+x+1"))
+
+
+def test_find_residue_isomorphisms_tests_irreducibility_once(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_irreducible(p)
+
+    monkeypatch.setattr(quotient, "is_irreducible", counting)
+    L.find_residue_isomorphisms.cache_clear()
+    irreducibles = L.enumerate_irreducibles(F3, 3)[:3]
+    for p1, p2 in itertools.product(irreducibles, repeat=2):
+        assert len(L.find_residue_isomorphisms(p1, p2)) == 3
+    assert len(calls) == 2 * 9  # P1 and P2 once per call, not once per hit
 
 
 def test_find_residue_isomorphisms_f3():
@@ -190,15 +220,29 @@ def test_kernel_witness():
         assert lifted(w).is_zero()
 
 
-@pytest.mark.parametrize("criterion", [
-    lambda f: L.lift_is_isomorphism(f, 2),
-    lambda f: kernel_witness(f, 2),
-], ids=["lift_is_isomorphism", "kernel_witness"])
+def _both_criteria_false(f):
+    report = L.lift_is_isomorphism(f, 2)
+    assert not report.q_f_derivative_nonzero
+    assert not report.gcd_sf_p2_is_one
+    assert not report.verdict
+
+
+def _witness_is_p1(f):
+    w = kernel_witness(f, 2)
+    lifted = L.lift_morphism(f, 2)
+    assert w == lifted.source.element(P(F5, "x+1"))
+    assert lifted(w).is_zero()
+
+
+@pytest.mark.parametrize("criterion", [_both_criteria_false, _witness_is_p1],
+                         ids=["lift_is_isomorphism", "kernel_witness"])
 def test_lift_criteria_reject_constant_q_f(criterion, deadline):
-    # the affine X -> X + 2 reduces to the constant 4 mod P2 = X + 3
-    g = L.rings_isomorphic_separable(P(F5, "x+1"), P(F5, "x+3"), 2)
-    with deadline(5), pytest.raises(DegreeMismatch):
-        criterion(g)
+    # the degree-1 residue morphism x -> 4 (the root of x+1) has the constant
+    # Q_f = 4 and S_f = 0, so sigma^X(P1) o Q_f = 0 and its lift kills P1
+    f = L.residue_morphism_from_Q(P(F5, "x+1"), P(F5, "x+3"), L.IDENTITY,
+                                  P(F5, "4"))
+    with deadline(5):
+        criterion(f)
 
 
 def test_functoriality_with_projections():
@@ -284,6 +328,35 @@ def test_rings_isomorphic_degree_one():
     # the morphism sends the maximal ideal generator onto the other one
     src_p = iso.source.element(iso.source.p)
     assert iso(src_p) == iso.target.element(iso.target.p)
+
+
+def _linear_pairs(field):
+    roots = list(field.elements())
+    return [(Poly(field, (-c1, field.one())), Poly(field, (-c2, field.one())))
+            for c1 in roots for c2 in roots]
+
+
+@pytest.mark.parametrize("field, sigma", [
+    (F2, L.IDENTITY), (F3, L.IDENTITY), (F5, L.IDENTITY), (F4, L.IDENTITY),
+    (F9, L.IDENTITY), (F4, L.frobenius(1)),
+], ids=["F2", "F3", "F5", "F4", "F9", "F4-frob"])
+def test_rings_isomorphic_degree_one_shifts(field, sigma):
+    # P_i = X - c_i; the digit transport gives X -> X + sigma(c1) - c2, which
+    # is X + (a2 - a1) for sigma = id
+    for (p1, p2), n in itertools.product(_linear_pairs(field), range(1, 5)):
+        c1, c2 = -p1.coeff(0), -p2.coeff(0)
+        iso = L.rings_isomorphic_separable(p1, p2, n, sigma=sigma)
+        assert iso.sigma == sigma
+        assert iso.q_image == (Poly.x(field) + (sigma.apply(c1) - c2)) \
+            % iso.target.modulus
+        assert L.certify_isomorphism(iso)
+
+
+def test_rings_isomorphic_degree_one_over_q():
+    iso = L.rings_isomorphic_separable(P(Q, "x+1"), P(Q, "x-1/2"), 3,
+                                       assume_irreducible=True)
+    assert iso.q_image == P(Q, "x-3/2")
+    assert L.certify_isomorphism(iso)
 
 
 @pytest.mark.parametrize("n", [2, 3])
