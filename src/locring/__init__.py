@@ -21,7 +21,6 @@ from .poly import (
     ext_gcd,
     format_poly,
     gcd,
-    inverse_mod,
     is_irreducible,
     parse_element,
     parse_poly,
@@ -30,8 +29,6 @@ from .quotient import (
     QuotientElement,
     QuotientRing,
     StabilizingMorphism,
-    make_morphism,
-    make_ring,
 )
 from .hensel import (
     ResidueDigits,

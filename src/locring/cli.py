@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .lift import (
     residue_morphism_from_Q,
     rings_isomorphic_separable,
 )
-from .poly import Poly, enumerate_irreducibles, format_poly, gcd, parse_poly
+from .poly import enumerate_irreducibles, format_poly, gcd, parse_poly
 from .quotient import QuotientRing, StabilizingMorphism
 from .verify import (
     exhaustive_morphism_check,
@@ -180,44 +181,28 @@ def cmd_check(args):
 
 
 def _survey_rows(field, max_degree, max_power, sigmas):
+    """One row per same-degree pair, sigma and power n: the level-n lift of
+    the first residue morphism in lex order."""
     rows = []
     field_name = format_field(field)
     for degree in range(1, max_degree + 1):
         irreducibles = enumerate_irreducibles(field, degree)
-        for p1 in irreducibles:
-            for p2 in irreducibles:
-                for sigma in sigmas:
-                    if degree == 1:
-                        morphisms = [None]
-                    else:
-                        morphisms = find_residue_isomorphisms(p1, p2, sigma)
-                        morphisms = morphisms[:1]  # first in lex order
-                    for f in morphisms:
-                        for n in range(1, max_power + 1):
-                            if degree == 1:
-                                # the rows print the sigma = id isomorphism
-                                iso = rings_isomorphic_separable(p1, p2, n)
-                                q_f = iso.q_image  # X-image, not mod P2
-                                s_f = Poly.one(field)
-                                verdict = True
-                                lifted = iso
-                            else:
-                                report = lift_is_isomorphism(f, n)
-                                q_f, s_f = report.q_f, report.s_f
-                                verdict = report.verdict
-                                lifted = lift_morphism(f, n)
-                            kdim = kernel_dimension(lifted)
-                            rows.append({
-                                "field": field_name,
-                                "p1": format_poly(p1),
-                                "p2": format_poly(p2),
-                                "degree": degree,
-                                "n": n,
-                                "q_f": format_poly(q_f),
-                                "s_f": format_poly(s_f),
-                                "verdict": verdict,
-                                "kernel_dim": kdim,
-                            })
+        for p1, p2, sigma in itertools.product(irreducibles, irreducibles,
+                                               sigmas):
+            for f in find_residue_isomorphisms(p1, p2, sigma)[:1]:
+                for n in range(1, max_power + 1):
+                    report = lift_is_isomorphism(f, n)
+                    rows.append({
+                        "field": field_name,
+                        "p1": format_poly(p1),
+                        "p2": format_poly(p2),
+                        "degree": degree,
+                        "n": n,
+                        "q_f": format_poly(report.q_f),
+                        "s_f": format_poly(report.s_f),
+                        "verdict": report.verdict,
+                        "kernel_dim": kernel_dimension(lift_morphism(f, n)),
+                    })
     rows.sort(key=lambda r: (r["degree"], r["p1"], r["p2"], r["n"]))
     return rows
 

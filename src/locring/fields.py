@@ -279,7 +279,11 @@ class Rationals(Field):
         return a == 0
 
     def format_payload(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # Python's limit on int-to-string conversion
+            raise InvalidArgument("rational too long to print: past the "
+                                  "4,300-digit limit on integers") from None
 
     def random_payload(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -447,15 +451,12 @@ class RationalFunctionField(Field):
         return not a[0]
 
     def format_payload(self, a):
-        from .poly import Poly, format_poly
+        from .poly import Poly, _needs_parens, format_poly
         num, den = (format_poly(Poly._of(self._fp, c), var=self.var)
                     for c in a)
         if den == "1":
             return num
-        if "+" in num or "*" in num:
-            num = f"({num})"
-        if "+" in den or "*" in den:
-            den = f"({den})"
+        num, den = (f"({s})" if _needs_parens(s) else s for s in (num, den))
         return f"{num}/{den}"
 
     def random_payload(self, rng):
@@ -552,30 +553,9 @@ class ExtensionField(Field):
         return all(self.base._is_zero(c) for c in a)
 
     def format_payload(self, a):
-        parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = a[i]
-            if self.base._is_zero(c):
-                continue
-            cs = self.base.format_payload(c)
-            if i == 0:
-                parts.append(cs)
-                continue
-            xs = self.gen_name if i == 1 else f"{self.gen_name}^{i}"
-            if cs == "1":
-                parts.append(xs)
-            elif cs == "-1":
-                parts.append(f"-{xs}")
-            else:
-                if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{xs}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        from .poly import Poly, format_poly
+        return format_poly(Poly._of(self.base, self.base._ptrim(a)),
+                           var=self.gen_name)
 
     def is_finite(self):
         return self.base.is_finite()

@@ -82,11 +82,19 @@ def hensel_root_series(p, k):
     return RootSeries(p=p, k=k, q_list=tuple(q_list), u=u, r_cert=r)
 
 
-@functools.lru_cache(maxsize=128)
 def embed_residue_field(p, k, assume_irreducible=False):
-    """The section K[X]/(P) -> K[X]/(P^k) given by X -> U."""
+    """The section K[X]/(P) -> K[X]/(P^k) given by X -> U, built once per
+    (P, k); unless ``assume_irreducible``, QuotientRing's check of P runs."""
+    embed = _embedding(p, k)
+    if not assume_irreducible:
+        QuotientRing(p, 1)
+    return embed
+
+
+@functools.lru_cache(maxsize=128)
+def _embedding(p, k):
     u = hensel_root_series(p, k).u  # deg U < k * deg P, so U is reduced
-    source = QuotientRing(p, 1, assume_irreducible=assume_irreducible)
+    source = QuotientRing(p, 1, assume_irreducible=True)
     return StabilizingMorphism(source, source.at_power(k), IDENTITY, u)
 
 
@@ -113,9 +121,9 @@ def to_digits(a):
     it serves every step; the representative keeps degree < k * deg P."""
     ring = a.ring
     p, k = ring.p, ring.n
-    embed = embed_residue_field(
-        p, k, assume_irreducible=not p.field.is_finite())
-    residue_ring = ring.residue_ring()
+    # the ring already verified or asserted P
+    embed = embed_residue_field(p, k, assume_irreducible=True)
+    residue_ring = ring.at_power(1)
     rep = a.rep
     digits = []
     for j in range(k):
@@ -131,8 +139,7 @@ def from_digits(d):
     p, k = ring.p, ring.n
     if len(d.digits) != k:
         raise ValueError(f"expected {k} digits, got {len(d.digits)}")
-    embed = embed_residue_field(
-        p, k, assume_irreducible=not p.field.is_finite())
+    embed = embed_residue_field(p, k, assume_irreducible=True)
     acc = Poly.zero(p.field)
     for digit in reversed(d.digits):
         acc = acc * p + embed(digit).rep
@@ -145,7 +152,7 @@ def digits_mul(d1, d2):
     if d1.ring != d2.ring:
         raise ValueError("digit vectors from different rings")
     k = d1.ring.n
-    zero = d1.ring.residue_ring().zero()
+    zero = d1.ring.at_power(1).zero()
     out = [zero] * k
     for i, a in enumerate(d1.digits):
         if a.is_zero():

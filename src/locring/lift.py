@@ -171,8 +171,8 @@ def kernel_witness(f, n):
 def induced_residue_morphism(f_m):
     """The residue-level morphism induced by a level-m morphism: reduce the
     X-image mod P2 (independent of the stored representative)."""
-    source = f_m.source.residue_ring()
-    target = f_m.target.residue_ring()
+    source = f_m.source.at_power(1)
+    target = f_m.target.at_power(1)
     q = f_m.q_image % target.p
     try:
         return StabilizingMorphism(source, target, f_m.sigma, q)

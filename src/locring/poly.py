@@ -25,6 +25,9 @@ from .errors import (
 # bound on the degree of a parsed polynomial and on the degree n * deg P of a
 # ring modulus P^n, both of which come from outside input
 MAX_DEGREE = 1024
+# bound on D * E^2, about the coefficient products of a morphism's table of
+# powers from a D- to an E-dimensional ring; 2^24 admits D = E = 256
+MAX_TABLE_WORK = 2 ** 24
 
 
 def check_power(p, n):
@@ -227,14 +230,6 @@ def exact_div(a, b):
     if not r.is_zero():
         raise InexactDivision(f"{b} does not divide {a}")
     return q
-
-
-def inverse_mod(a, m):
-    """Inverse of a modulo m; raises DivisionByZero if gcd(a, m) != 1."""
-    g, u, _ = ext_gcd(a, m)
-    if g.degree != 0:
-        raise DivisionByZero(f"{a} is not invertible modulo {m}")
-    return u % m
 
 
 def apply_automorphism_to_poly(sigma, a):

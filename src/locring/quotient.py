@@ -13,6 +13,7 @@ import json
 from . import fields as _fields
 from .errors import (
     BadTarget,
+    InvalidArgument,
     NotAUnit,
     NotIrreducible,
     NotMonic,
@@ -22,6 +23,7 @@ from .errors import (
     UnsupportedField,
 )
 from .poly import (
+    MAX_TABLE_WORK,
     Poly,
     apply_automorphism_to_poly,
     check_power,
@@ -84,10 +86,6 @@ class QuotientRing:
     def gen(self):
         """The class of X."""
         return self.element(Poly.x(self.field))
-
-    def residue_ring(self):
-        """K[X]/(P)."""
-        return self.at_power(1)
 
     def at_power(self, m):
         """K[X]/(P^m), same P."""
@@ -220,9 +218,11 @@ class StabilizingMorphism:
     """Ring morphism between quotient rings given by (sigma, image of X).
 
     The constructor stores ``images``, the payloads of q^0..q^D mod the target
-    modulus (D the source dimension), and applies them to verify the
-    certificate ``sigma^X(P1^n1)(q) = 0 mod P2^n2``; it raises
-    :class:`NotWellDefined` with the nonzero residue as witness when it fails.
+    modulus (D the source dimension, E the target's; it raises
+    :class:`InvalidArgument` first when D*E^2 passes ``MAX_TABLE_WORK``),
+    and applies them to verify the certificate
+    ``sigma^X(P1^n1)(q) = 0 mod P2^n2``; it raises :class:`NotWellDefined`
+    with the nonzero residue as witness when that fails.
 
     ``s_cert`` optionally carries the exact cofactor S with
     ``sigma^X(P1) o Q = S * P2`` for level-1 morphisms.
@@ -233,6 +233,12 @@ class StabilizingMorphism:
     def __init__(self, source, target, sigma, q, s_cert=None):
         if not q.field == source.field == target.field:
             raise RingMismatch("X-image, source and target fields differ")
+        work = source.dimension * target.dimension ** 2
+        if work > MAX_TABLE_WORK:
+            raise InvalidArgument(
+                f"a morphism of dimensions {source.dimension} -> "
+                f"{target.dimension} needs D*E^2 = {work} products, past "
+                f"the work bound {MAX_TABLE_WORK}")
         q = q % target.modulus
         f, m = target.field, target.modulus.payload
         images = [(f._from_int(1),)]
@@ -357,13 +363,3 @@ def _ring_from_dict(data):
     # irreducibility remains caller-asserted
     return QuotientRing(p, data["n"],
                         assume_irreducible=not field.is_finite())
-
-
-def make_ring(p, n, assume_irreducible=False):
-    """Build K[X]/(P^n); verifies monicity and (finite fields) irreducibility."""
-    return QuotientRing(p, n, assume_irreducible=assume_irreducible)
-
-
-def make_morphism(source, target, sigma, q, s_cert=None):
-    """Build a morphism given by an X-image; certifies well-definedness."""
-    return StabilizingMorphism(source, target, sigma, q, s_cert=s_cert)

@@ -7,8 +7,8 @@ import time
 import pytest
 
 import locring as L
-from locring.cli import main
-from locring.poly import parse_poly
+from locring.cli import _survey_rows, main
+from locring.poly import MAX_TABLE_WORK, parse_poly
 
 
 def run(capsys, *argv):
@@ -98,8 +98,8 @@ def test_digits_round_trip_via_library(capsys):
                        "--element", "x^3+2*x+1", "--json")
     assert code == 0
     F3 = L.PrimeField(3)
-    ring = L.make_ring(parse_poly(F3, "x^2+1"), 2)
-    res = ring.residue_ring()
+    ring = L.QuotientRing(parse_poly(F3, "x^2+1"), 2)
+    res = ring.at_power(1)
     digits = L.ResidueDigits(ring=ring, digits=tuple(
         res.element(parse_poly(F3, d)) for d in json.loads(out)))
     assert L.from_digits(digits) == ring.element(parse_poly(F3, "x^3+2*x+1"))
@@ -375,6 +375,30 @@ def test_survey_with_sigma(capsys):
     assert len(rows) == 20
 
 
+@pytest.mark.parametrize("field_text, max_degree, sigma", [
+    ("F2", 3, "id"), ("F3", 2, "id"), ("F2[x]/(x^2+x+1)", 2, "frob"),
+])
+def test_survey_rows_agree_with_lift(capsys, field_text, max_degree, sigma):
+    # every row, degree 1 included, is the lift data that `lift --q` prints
+    field = L.parse_field(field_text)
+    auto = L.FieldAutomorphism.parse(sigma)
+    rows = _survey_rows(field, max_degree, 3, [auto])
+    assert {r["degree"] for r in rows} == set(range(1, max_degree + 1))
+    for r in rows:
+        p1, p2, q_f, s_f = (parse_poly(field, r[key])
+                            for key in ("p1", "p2", "q_f", "s_f"))
+        assert L.apply_automorphism_to_poly(auto, p1).compose(q_f) == s_f * p2
+        code, out, _ = run(capsys, "lift", "--field", field_text,
+                           "--p1", r["p1"], "--p2", r["p2"],
+                           "--power", str(r["n"]), "--q", r["q_f"],
+                           "--sigma", sigma)
+        verdict = "isomorphism" if r["verdict"] else "not injective"
+        assert code == 0
+        assert out.splitlines()[:2] == [f"Q_f = {r['q_f']}",
+                                        f"S_f = {r['s_f']}"]
+        assert f"verdict: {verdict}\n" in out
+
+
 def test_survey_rejects_infinite_field(capsys):
     code, _, err = run(capsys, "survey", "--field", "Q",
                        "--max-degree", "1", "--max-power", "1")
@@ -432,6 +456,24 @@ def test_check_ring_power_is_bounded(tmp_path, capsys, deadline):
     path.write_text(json.dumps({"source": ring, "target": ring, "sigma": "id",
                                 "q_image": "x"}), encoding="utf-8")
     _assert_bounded(capsys, deadline, "check", "--morphism", str(path))
+
+
+def test_long_rationals_are_not_printed(capsys, deadline):
+    # 99999^1000 has 5,000 digits: it parses, but cannot be printed
+    _assert_bounded(capsys, deadline, "embed", "--field", "Q",
+                    "--poly", "x^2+99999^1000", "--power", "1",
+                    expected="4,300")
+
+
+def test_check_morphism_work_is_bounded(tmp_path, capsys, deadline):
+    # D = E = 1024, so the table of powers needs D*E^2 = 2^30 products
+    ring = {"field": "F3", "p": "x^2+1", "n": 512}
+    q = "+".join(f"x^{i}" for i in range(1023, 1, -1)) + "+x+1"
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"source": ring, "target": ring, "sigma": "id",
+                                "q_image": q}), encoding="utf-8")
+    _assert_bounded(capsys, deadline, "check", "--morphism", str(path),
+                    expected=f"bound {MAX_TABLE_WORK}")
 
 
 # -- recorded output ---------------------------------------------------------

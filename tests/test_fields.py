@@ -153,6 +153,19 @@ def test_element_formatting():
     assert str((1 + t) / t) == "(t+1)/t"
     a = F4.gen()
     assert str(a + 1) == "a+1"
+    # over Q a fractional constant term is parenthesized, as in format_poly
+    r = QSQRT2.gen()
+    assert str(6 * r - QSQRT2.from_base(Fraction(3, 2))) == "6*a+(-3/2)"
+
+
+@pytest.mark.parametrize("descriptor", [
+    "F2[x]/(x^2+x+1)", "F3[x]/(x^2+1)", "F2[x]/(x^3+x+1)",
+    "F3[x]/(x^3+2*x+1)", "F5[x]/(x^2+2)", "F7[x]/(x^3+3)",
+])
+def test_extension_elements_print_and_parse_back(descriptor):
+    field = L.parse_field(descriptor)
+    for e in field.elements():
+        assert L.parse_element(field, str(e)) == e
 
 
 @pytest.mark.parametrize("n, prime", [

@@ -4,7 +4,11 @@ import pytest
 
 import locring as L
 from locring.errors import NotSeparable
-from locring.hensel import digits_mul, structure_isomorphism_check
+from locring.hensel import (
+    _embedding,
+    digits_mul,
+    structure_isomorphism_check,
+)
 from locring.poly import Poly
 
 F2 = L.PrimeField(2)
@@ -135,9 +139,9 @@ def test_embed_is_ring_morphism_sampled():
 # -- digits -----------------------------------------------------------------
 
 def test_digits_example():
-    ring = L.make_ring(P(F2, "x^2+x+1"), 2)
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
     d = L.to_digits(ring.gen())
-    res = ring.residue_ring()
+    res = ring.at_power(1)
     assert d.digits == (res.gen(), res.one())
 
 
@@ -152,8 +156,8 @@ def test_digits_of_embedded_element():
 
 
 def test_digits_of_powers_of_p():
-    ring = L.make_ring(P(F2, "x^2+x+1"), 3)
-    res = ring.residue_ring()
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 3)
+    res = ring.at_power(1)
     for j in range(3):
         d = L.to_digits(ring.element(ring.p ** j))
         expected = tuple(res.one() if i == j else res.zero() for i in range(3))
@@ -161,24 +165,25 @@ def test_digits_of_powers_of_p():
 
 
 def test_digits_reuse_the_cached_embedding():
-    # one embedding per (P, k): the digits ask for the same cache entry as
-    # a caller that passes assume_irreducible=False over a finite field
+    # one embedding per (P, k), whatever the call form: the short form, the
+    # explicit assume_irreducible=False form and the digits share one build
     p = P(F3, "x^2+x+2")
+    _embedding.cache_clear()
+    L.embed_residue_field(p, 3)
     L.embed_residue_field(p, 3, assume_irreducible=False)
-    misses = L.embed_residue_field.cache_info().misses
-    ring = L.make_ring(p, 3)
+    ring = L.QuotientRing(p, 3)
     L.from_digits(L.to_digits(ring.gen()))
-    assert L.embed_residue_field.cache_info().misses == misses
+    assert _embedding.cache_info().misses == 1
 
 
 def test_digits_round_trip_exhaustive():
-    ring = L.make_ring(P(F2, "x^2+x+1"), 2)
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
     for a in ring.elements():
         assert L.from_digits(L.to_digits(a)) == a
 
 
 def test_digits_round_trip_char0():
-    ring = L.make_ring(P(Q, "x^2-2"), 4, assume_irreducible=True)
+    ring = L.QuotientRing(P(Q, "x^2-2"), 4, assume_irreducible=True)
     rng = random.Random(3)
     for _ in range(50):
         a = ring.random_element(rng)
@@ -187,19 +192,19 @@ def test_digits_round_trip_char0():
 
 def test_freeness():
     # sum embed(a_j) P^j = 0 implies all digits zero
-    ring = L.make_ring(P(F3, "x^2+1"), 3)
+    ring = L.QuotientRing(P(F3, "x^2+1"), 3)
     d = L.to_digits(ring.zero())
     assert all(a.is_zero() for a in d.digits)
 
 
 def test_digit_lengths_and_dimension():
-    ring = L.make_ring(P(F3, "x^3+2*x+1"), 2)
+    ring = L.QuotientRing(P(F3, "x^3+2*x+1"), 2)
     assert len(L.to_digits(ring.gen())) == 2
     assert ring.dimension == 6
 
 
 def test_digits_mul_matches_ring_mul():
-    ring = L.make_ring(P(F2, "x^2+x+1"), 3)
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 3)
     rng = random.Random(4)
     for _ in range(100):
         a = ring.random_element(rng)

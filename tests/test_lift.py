@@ -269,13 +269,13 @@ def test_induced_residue_morphism_strips_multiples():
     f = frob_f2()
     lifted = L.lift_morphism(f, 2)
     r = P(F2, "x^2") + p2 * P(F2, "x+1")
-    same = L.make_morphism(lifted.source, lifted.target, L.IDENTITY, r)
+    same = L.StabilizingMorphism(lifted.source, lifted.target, L.IDENTITY, r)
     induced = L.induced_residue_morphism(same)
     assert induced.q_image == P(F2, "x^2")
 
 
 def test_induced_identity():
-    ring = L.make_ring(P(F3, "x^2+1"), 3)
+    ring = L.QuotientRing(P(F3, "x^2+1"), 3)
     ident = L.StabilizingMorphism.identity(ring)
     assert L.induced_residue_morphism(ident).is_identity()
 
@@ -381,8 +381,9 @@ def test_rings_isomorphic_inseparable_raises():
 
 def test_rings_isomorphic_char0_with_supplied_residue_morphism():
     p = P(Q, "x^2-2")
-    ring = L.make_ring(p, 1, assume_irreducible=True)
-    f = L.make_morphism(ring, ring, L.IDENTITY, P(Q, "-x"), s_cert=Poly.one(Q))
+    ring = L.QuotientRing(p, 1, assume_irreducible=True)
+    f = L.StabilizingMorphism(ring, ring, L.IDENTITY, P(Q, "-x"),
+                              s_cert=Poly.one(Q))
     iso = L.rings_isomorphic_separable(p, p, 3, residue_morphism=f,
                                        assume_irreducible=True)
     assert iso is not None

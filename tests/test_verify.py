@@ -57,7 +57,7 @@ def test_kernel_vectors_map_to_zero():
 
 
 def test_morphism_matrix_identity():
-    ring = L.make_ring(P(F3, "x^2+1"), 2)
+    ring = L.QuotientRing(P(F3, "x^2+1"), 2)
     m = morphism_matrix(L.StabilizingMorphism.identity(ring))
     for i in range(4):
         for j in range(4):
@@ -65,9 +65,9 @@ def test_morphism_matrix_identity():
 
 
 def test_morphism_matrix_cross_f3():
-    r1 = L.make_ring(P(F3, "x^2+1"), 1)
-    r2 = L.make_ring(P(F3, "x^2+x+2"), 1)
-    f = L.make_morphism(r1, r2, L.IDENTITY, P(F3, "x+2"))
+    r1 = L.QuotientRing(P(F3, "x^2+1"), 1)
+    r2 = L.QuotientRing(P(F3, "x^2+x+2"), 1)
+    f = L.StabilizingMorphism(r1, r2, L.IDENTITY, P(F3, "x+2"))
     m = morphism_matrix(f)
     # columns are f(1) = 1 and f(x) = x+2 in the basis {1, x}
     assert m.rows == ((F3.from_int(1), F3.from_int(2)),
@@ -90,13 +90,13 @@ def test_morphism_matrix_frobenius_lift():
 def test_morphism_matrix_semilinear_over_f4():
     # Frobenius twist on F4[X]/((X^2+c)^1)? use a genuine extension-field ring
     p = Poly(F4, (F4.gen(), F4.one()))  # x + a, degree 1... need deg >= 1
-    ring = L.make_ring(p, 2)
+    ring = L.QuotientRing(p, 2)
     # sigma = frob, X-image must satisfy sigma(P^2)(q) = 0 mod P^2
     # sigma(x+a) = x + a^2; pick q = x + a + a^2... then q + a^2 = x + a?? no:
     # want (q + a^2)^2 = 0 mod (x+a)^2, i.e. q = x + a - a^2 + multiple of P
     shift = F4.gen() - L.frobenius(1).apply(F4.gen())
     q = Poly(F4, (shift, F4.one()))
-    f = L.make_morphism(ring, ring, L.frobenius(1), q)
+    f = L.StabilizingMorphism(ring, ring, L.frobenius(1), q)
     m = morphism_matrix(f)
     # matrix over the prime subfield F2 of a 2-dim F4-space: 4x4 over F2
     assert m.field == F2
@@ -108,7 +108,7 @@ def test_morphism_matrix_semilinear_over_f4():
 
 
 def test_certify_matches_lift_report():
-    r1 = L.make_ring(P(F3, "x^2+1"), 1)
+    r1 = L.QuotientRing(P(F3, "x^2+1"), 1)
     f = L.find_residue_isomorphisms(P(F3, "x^2+1"), P(F3, "x^2+x+2"))[0]
     for n in (1, 2, 3):
         lifted = L.lift_morphism(f, n)
@@ -147,11 +147,11 @@ def test_exhaustive_check_detects_corruption():
 
 
 def test_exhaustive_check_identity():
-    ring = L.make_ring(P(F3, "x^2+1"), 1)
+    ring = L.QuotientRing(P(F3, "x^2+1"), 1)
     assert exhaustive_morphism_check(L.StabilizingMorphism.identity(ring)).passed
 
 
 def test_exhaustive_check_too_large():
-    ring = L.make_ring(P(F3, "x^3+2*x+1"), 3)  # 3^9 elements
+    ring = L.QuotientRing(P(F3, "x^3+2*x+1"), 3)  # 3^9 elements
     with pytest.raises(TooLarge):
         exhaustive_morphism_check(L.StabilizingMorphism.identity(ring))
