@@ -299,7 +299,7 @@ def build_parser():
     p_lift.set_defaults(func=cmd_lift)
 
     p_find = sub.add_parser("find-iso",
-                            help="all residue-level morphisms by brute force")
+                            help="all residue-level morphisms (root finding)")
     p_find.add_argument("--field", required=True)
     p_find.add_argument("--p1", required=True)
     p_find.add_argument("--p2", required=True)

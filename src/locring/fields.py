@@ -157,7 +157,10 @@ class Field:
         if not b:
             raise DivisionByZero("polynomial division by zero")
         db = len(b) - 1
-        inv_lead = self._inv(b[-1])
+        # a monic divisor needs no inverse, which over an extension field
+        # is a full extended Euclid
+        monic = b[-1] == self._from_int(1)
+        inv_lead = None if monic else self._inv(b[-1])
         rem = list(a)
         quo = [self._from_int(0)] * max(len(rem) - db, 1)
         while len(rem) > db:
@@ -165,7 +168,7 @@ class Field:
             if self._is_zero(top):
                 continue
             k = len(rem) - db
-            c = self._mul(top, inv_lead)
+            c = top if monic else self._mul(top, inv_lead)
             quo[k] = c
             neg_c = self._neg(c)
             for j in range(db):
@@ -173,8 +176,8 @@ class Field:
         return self._ptrim(quo), self._ptrim(rem)
 
     def _pmonic(self, a):
-        if not a:
-            return a
+        if not a or a[-1] == self._from_int(1):
+            return tuple(a)
         inv = self._inv(a[-1])
         return tuple(self._mul(c, inv) for c in a)
 
@@ -482,13 +485,15 @@ class RationalFunctionField(Field):
 class ExtensionField(Field):
     """Simple extension base[a]/(m(a)), m monic irreducible of degree >= 2.
 
-    Irreducibility of the minimal polynomial is verified over prime fields
-    and caller-asserted over Q.  Only PrimeField and Rationals bases are
-    supported.
+    The base is F_p, Q or a finite extension field (a tower, such as the
+    residue field of a modulus over F4).  Irreducibility of the minimal
+    polynomial is verified over a finite base unless the caller asserts it
+    (``assume_irreducible=True``), and must be caller-asserted over Q.
     """
 
     def __init__(self, base, min_coeffs, gen="a", assume_irreducible=False):
-        if not isinstance(base, (PrimeField, Rationals)):
+        if not (isinstance(base, (PrimeField, Rationals))
+                or isinstance(base, ExtensionField) and base.is_finite()):
             raise UnsupportedField(f"extensions of {base} are not supported")
         min_coeffs = tuple(base.coerce(c) for c in min_coeffs)
         if len(min_coeffs) < 3:
@@ -501,9 +506,10 @@ class ExtensionField(Field):
         self.degree = len(min_coeffs) - 1
         self.gen_name = gen
         self.char = base.char
-        if isinstance(base, PrimeField):
+        if base.is_finite():
             from .poly import Poly, is_irreducible
-            if not is_irreducible(Poly(base, min_coeffs)):
+            if not assume_irreducible and not is_irreducible(
+                    Poly(base, min_coeffs)):
                 raise NotIrreducible(
                     f"minimal polynomial is reducible over {base}")
         elif not assume_irreducible:
@@ -717,14 +723,11 @@ class FieldAutomorphism:
         if not f.is_finite():
             raise UnsupportedAutomorphism(
                 f"Frobenius is not an automorphism of {f}")
-        p = f.char
         if isinstance(f, PrimeField):
             return a  # x^p = x on F_p
-        m = f.degree
-        e = self.power % m
-        if e == 0:
-            return a
-        return a ** (p ** e)
+        # x^(|f|-1) = 1, so p^e may be reduced mod |f| - 1; this also takes
+        # the absolute degree of a tower, not its degree over its base
+        return a ** pow(f.char, self.power, f.order() - 1)
 
     def compose(self, other):
         """self o other."""

@@ -5,12 +5,17 @@ K[X]/(P2) with X-image Q_f, the cofactor S_f satisfies
 sigma^X(P1) o Q_f = S_f * P2.  The same X-image defines a morphism
 K[X]/(P1^n) -> K[X]/(P2^n) for every n, and that lift is an isomorphism
 exactly when gcd(S_f, P2) = 1, equivalently when Q_f' != 0.
+
+Over a finite field F_q the residue morphisms are found by root finding:
+their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2).  One root
+comes from equal-degree splitting over L2, the others are its Frobenius
+orbit, and each is then certified with its cofactor S_f.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,7 +26,7 @@ from .errors import (
     NotWellDefined,
     UnsupportedField,
 )
-from .fields import IDENTITY, ExtensionField, PrimeField
+from .fields import IDENTITY, ExtensionField, FieldElement
 from .hensel import check_separable, from_digits, to_digits, ResidueDigits
 from .poly import (
     Poly,
@@ -64,15 +69,62 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     return StabilizingMorphism(source, target, sigma, q, s_cert=s)
 
 
-@functools.lru_cache(maxsize=128)
-def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
-    """All residue-level morphisms K[X]/(P1) -> K[X]/(P2) for a fixed base
-    automorphism, by brute force over the q^d candidate X-images, in
-    lexicographic order of ascending coefficient vectors (constant term
-    first, field elements in enumeration order).
+def _split_root(ext, r, rng):
+    """One root in the finite field ``ext`` of the monic payload polynomial
+    r, which splits over ext into distinct linear factors, by equal-degree
+    splitting (Cantor-Zassenhaus): gcd(r, h) for a random h that vanishes
+    at about half the roots, recursing into the smaller factor."""
+    zero, one = ext._from_int(0), ext._from_int(1)
+    order = ext.order()
+    while len(r) > 2:
+        delta = ext.random_payload(rng)
+        if ext.char == 2:
+            # Tr(delta*Y) = sum_{i<k} (delta*Y)^(2^i) mod r, |ext| = 2^k; the
+            # roots are conjugates with equal traces, so Tr(Y + delta) would
+            # never split r.  Squaring is coefficient-wise in characteristic 2.
+            t = h = ext._ptrim((zero, delta))
+            for _ in range(order.bit_length() - 2):
+                square = [zero] * (2 * len(t) - 1)
+                square[::2] = [ext._mul(c, c) for c in t]
+                t = ext._pdivmod(square, r)[1]
+                h = ext._padd(h, t)
+        else:
+            # (Y + delta)^((|ext|-1)/2) - 1 vanishes at the roots alpha
+            # with alpha + delta a nonzero square
+            h = ext._padd(ext._ppow((delta, one), (order - 1) // 2, r),
+                          (ext._neg(one),))
+        g = ext._pgcd(r, h)
+        if 1 < len(g) < len(r):
+            r = min(g, ext._pdivmod(r, g)[0], key=len)
+    return ext._neg(r[0])
 
-    The result is empty or has exactly deg(P2) entries (conjugate roots).
-    """
+
+def _frobenius_orbit(a, q, d):
+    """a, a^q, ..., a^(q^(d-1)), sorted into the field's enumeration order
+    (ascending payloads)."""
+    orbit = [a]
+    for _ in range(d - 1):
+        orbit.append(orbit[-1] ** q)
+    return sorted(orbit, key=lambda b: b.payload)
+
+
+def _root_vectors(p2, shifted, seed):
+    """The coefficient vectors of the d roots of sigma^X(P1) in
+    L2 = F_q[X]/(P2), in ascending lexicographic order: one root by
+    equal-degree splitting, the others its Frobenius orbit Q^(q^i)."""
+    field = p2.field
+    if p2.degree == 1:
+        return [(field._neg(shifted.payload[0]),)]
+    # QuotientRing(P2, 1) has just verified P2
+    ext = ExtensionField(field, p2.coeffs, assume_irreducible=True)
+    r = tuple(ext._pad((c,)) for c in shifted.payload)
+    root = FieldElement(ext, _split_root(ext, r, random.Random(seed)))
+    return [a.payload
+            for a in _frobenius_orbit(root, field.order(), p2.degree)]
+
+
+@functools.lru_cache(maxsize=128)
+def _search(p1, p2, sigma):
     field = p1.field
     if not field.is_finite():
         raise UnsupportedField(
@@ -81,15 +133,34 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
         raise DegreeMismatch("search requires equal degrees")
     source, target = QuotientRing(p1, 1), QuotientRing(p2, 1)
     shifted = apply_automorphism_to_poly(sigma, p1)
+    # seeded by the inputs, not by hash(), so a run repeats exactly
+    seed = f"{field}|{p1.payload}|{p2.payload}|{sigma.power}"
     found = []
-    for vec in itertools.product([e.payload for e in field.elements()],
-                                 repeat=p2.degree):
+    for vec in _root_vectors(p2, shifted, seed):
         q = Poly._of(field, field._ptrim(vec))
-        if shifted.compose_mod(q, p2).is_zero():
-            s = _residue_cofactor(p1, p2, sigma, q)
-            found.append(StabilizingMorphism(source, target, sigma, q,
-                                             s_cert=s))
+        s = _residue_cofactor(p1, p2, sigma, q)
+        found.append(StabilizingMorphism(source, target, sigma, q, s_cert=s))
     return tuple(found)
+
+
+def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
+    """All residue-level morphisms K[X]/(P1) -> K[X]/(P2) over a finite
+    field for a fixed base automorphism, in lexicographic order of
+    ascending coefficient vectors (constant term first, field elements in
+    enumeration order).
+
+    Their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2): one
+    root is found by equal-degree splitting over L2 and the others are its
+    Frobenius orbit Q^(q^i), i < d.  Each is then certified as a morphism
+    with its exact cofactor S_f.  The cost is polynomial in d and log q.
+    The result has exactly deg(P2) entries (conjugate roots).
+    """
+    return _search(p1, p2, sigma)
+
+
+# one cache entry per (P1, P2, sigma), whether sigma is passed or defaulted
+find_residue_isomorphisms.cache_info = _search.cache_info
+find_residue_isomorphisms.cache_clear = _search.cache_clear
 
 
 def lift_morphism(f, n):
@@ -194,32 +265,36 @@ class RootsBijectionReport:
 
 
 def roots_bijection_check(f):
-    """Enumerate the splitting field F_{q^d} and verify that alpha ->
-    Q_f(alpha) maps the roots of P2 bijectively onto the roots of
-    sigma^X(P1)."""
+    """Verify that alpha -> Q_f(alpha) maps the roots of P2 bijectively onto
+    the roots of sigma^X(P1) in the splitting field F_q[X]/(P2).
+
+    The roots of P2 there are the Frobenius orbit a^(q^i), i < d, of the
+    class a of X.  A polynomial of degree d has at most d roots, so d
+    distinct roots of P2 whose d images are distinct roots of sigma^X(P1)
+    prove the bijection without enumerating the q^d elements.
+    """
     base = f.source.field
-    if not isinstance(base, PrimeField):
+    if not base.is_finite():
         raise UnsupportedField(
-            f"root enumeration is implemented for prime fields, got {base}")
-    p1 = f.source.p
+            f"root check requires a finite field, got {base}")
     p2 = f.target.p
     q_f = f.q_image % p2
-    shifted_p1 = apply_automorphism_to_poly(f.sigma, p1)
+    shifted_p1 = apply_automorphism_to_poly(f.sigma, f.source.p)
     d = p2.degree
     if d == 1:
-        ext = base
+        ext, root = base, -p2.coeff(0)
         lift = lambda poly: poly
     else:
         # P2 itself serves as the minimal polynomial of F_{q^d}
         ext = ExtensionField(base, p2.coeffs, gen="a")
+        root = ext.gen()
         lift = lambda poly: Poly(ext, [ext.from_base(c) for c in poly.coeffs])
     p1_ext, p2_ext, q_ext = lift(shifted_p1), lift(p2), lift(q_f)
-    roots_p2 = [a for a in ext.elements() if p2_ext.evaluate(a).is_zero()]
-    roots_p1 = {a for a in ext.elements() if p1_ext.evaluate(a).is_zero()}
+    roots_p2 = _frobenius_orbit(root, base.order(), d)
     images = [q_ext.evaluate(a) for a in roots_p2]
-    passed = (len(roots_p2) == len(roots_p1)
-              and len(set(images)) == len(images)
-              and set(images) == roots_p1)
+    passed = (len(set(roots_p2)) == len(set(images)) == d
+              and all(p2_ext.evaluate(a).is_zero() for a in roots_p2)
+              and all(p1_ext.evaluate(b).is_zero() for b in images))
     return RootsBijectionReport(passed=passed, n_roots=len(roots_p2),
                                 roots_p2=tuple(roots_p2), images=tuple(images))
 

@@ -194,6 +194,25 @@ def test_find_iso_degree_one(capsys):
     assert (code, out) == (0, "q = 2\n")
 
 
+@pytest.mark.parametrize("field, p1, p2, count", [
+    ("F2", "x^16+x^5+x^3+x^2+1", "x^16+x^12+x^3+x+1", 16),
+    ("F101", "x^4+2", "x^4+3", 4),
+], ids=["F2-d16", "F101-d4"])
+def test_find_iso_finds_roots_in_polynomial_time(capsys, deadline, field, p1,
+                                                 p2, count):
+    # 2^16 and 101^4 candidate X-images: far too many to try one by one
+    L.find_residue_isomorphisms.cache_clear()
+    start = time.perf_counter()
+    with deadline(5):
+        code, out, _ = run(capsys, "find-iso", "--field", field,
+                           "--p1", p1, "--p2", p2)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines)) == count
+    assert all(line.startswith("q = ") for line in lines)
+
+
 def test_find_iso_reducible_is_input_error(capsys):
     code, _, err = run(capsys, "find-iso", "--field", "F2",
                        "--p1", "x^2", "--p2", "x^2+x+1")

@@ -8,6 +8,7 @@ from locring.errors import (
     DescriptorMismatch,
     DivisionByZero,
     InvalidArgument,
+    NotIrreducible,
     UnsupportedAutomorphism,
     UnsupportedField,
 )
@@ -122,6 +123,23 @@ def test_f9_as_extension():
     assert a * a == F9.from_int(-1)
     assert len(list(F9.elements())) == 9
     assert F9.order() == 9
+
+
+def test_tower_over_f4():
+    # F16 = F4[b]/(b^2+b+a): a finite extension field may serve as a base
+    a = F4.gen()
+    f16 = L.ExtensionField(F4, (a, 1, 1), gen="b")
+    b = f16.gen()
+    assert b * b + b + f16.from_base(a) == f16.zero()
+    assert f16.order() == 16 and len(set(f16.elements())) == 16
+    assert all(x * x ** (-1) == f16.one() for x in f16.elements() if x)
+    with pytest.raises(NotIrreducible):
+        L.ExtensionField(F4, (0, 1, 1))  # x^2+x = x(x+1)
+    # Frobenius powers act by x -> x^(2^e) with period 4, the absolute
+    # degree, not 2, the degree over F4
+    assert [L.frobenius(e).apply(b) for e in range(1, 5)] == \
+        [b ** 2, b ** 4, b ** 8, b]
+    assert L.frobenius(2).apply(b) != b
 
 
 def test_extension_inverse_exhaustive():

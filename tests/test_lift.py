@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 
@@ -22,6 +23,7 @@ F2T = L.RationalFunctionField(2, "t")
 F9 = L.ExtensionField(F3, (1, 0, 1))
 F4 = L.parse_field("F2[x]/(x^2+x+1)")
 F5 = L.PrimeField(5)
+F7 = L.PrimeField(7)
 
 
 def P(field, text):
@@ -144,13 +146,43 @@ def per_degree_residue_isomorphisms(p1, p2, sigma=L.IDENTITY):
 @pytest.mark.parametrize("field, degree, sigma", [
     (F2, 2, L.IDENTITY), (F2, 3, L.IDENTITY), (F2, 4, L.IDENTITY),
     (F3, 2, L.IDENTITY), (F3, 3, L.IDENTITY), (F4, 2, L.frobenius(1)),
-], ids=["F2-d2", "F2-d3", "F2-d4", "F3-d2", "F3-d3", "F4-d2-frob"])
+    (F4, 3, L.frobenius(1)), (F9, 2, L.IDENTITY), (F9, 2, L.frobenius(1)),
+    (F5, 2, L.IDENTITY), (F7, 2, L.IDENTITY),
+], ids=["F2-d2", "F2-d3", "F2-d4", "F3-d2", "F3-d3", "F4-d2-frob",
+        "F4-d3-frob", "F9-d2", "F9-d2-frob", "F5-d2", "F7-d2"])
 def test_find_residue_isomorphisms_matches_per_degree_search(field, degree,
                                                              sigma):
-    irreducibles = L.enumerate_irreducibles(field, degree)
-    for p1, p2 in itertools.product(irreducibles, repeat=2):
+    # every pair up to 64 (F3 d3), a seeded sample of 64 beyond that
+    pairs = list(itertools.product(L.enumerate_irreducibles(field, degree),
+                                   repeat=2))
+    if len(pairs) > 64:
+        pairs = random.Random(0).sample(pairs, 64)
+    for p1, p2 in pairs:
         assert (L.find_residue_isomorphisms(p1, p2, sigma)
                 == per_degree_residue_isomorphisms(p1, p2, sigma))
+
+
+def test_find_residue_isomorphisms_ignores_global_random_state():
+    # the splitting draws from its own generator, seeded by the inputs
+    p1, p2 = P(F3, "x^5+2*x+1"), P(F3, "x^5+2*x^4+1")
+    found = []
+    for seed in (0, 1):
+        random.seed(seed)
+        state = random.getstate()
+        L.find_residue_isomorphisms.cache_clear()
+        found.append(L.find_residue_isomorphisms(p1, p2))
+        assert random.getstate() == state
+    assert found[0] == found[1] and len(found[0]) == 5
+
+
+def test_find_residue_isomorphisms_one_cache_entry_per_call():
+    p1, p2 = P(F2, "x^3+x+1"), P(F2, "x^3+x^2+1")
+    L.find_residue_isomorphisms.cache_clear()
+    first = L.find_residue_isomorphisms(p1, p2)
+    assert L.find_residue_isomorphisms(p1, p2, L.IDENTITY) is first
+    assert L.find_residue_isomorphisms(p1, p2, sigma=L.IDENTITY) is first
+    info = L.find_residue_isomorphisms.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_find_residue_isomorphisms_requires_finite():
@@ -298,6 +330,29 @@ def test_roots_bijection_f8():
                                          P(F2, "x^3+x^2+1")):
         report = L.roots_bijection_check(f)
         assert report.passed and report.n_roots == 3
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_roots_bijection_over_f4_frobenius(degree):
+    # the splitting field F4[X]/(P2) is a tower over F2
+    p1, p2 = L.enumerate_irreducibles(F4, degree)[:2]
+    found = L.find_residue_isomorphisms(p1, p2, L.frobenius(1))
+    assert len(found) == degree
+    for f in found:
+        report = L.roots_bijection_check(f)
+        assert report.passed and report.n_roots == degree
+
+
+def test_roots_bijection_rejects_a_non_morphism():
+    # x -> x is not a morphism x^2+1 -> x^2+x+2 over F3: the images of the
+    # roots of P2 are not roots of P1
+    # (the morphism constructor refuses it, so the check reads a stand-in)
+    p1, p2 = P(F3, "x^2+1"), P(F3, "x^2+x+2")
+    f = types.SimpleNamespace(source=L.QuotientRing(p1, 1),
+                              target=L.QuotientRing(p2, 1),
+                              sigma=L.IDENTITY, q_image=Poly.x(F3))
+    report = L.roots_bijection_check(f)
+    assert not report.passed and report.n_roots == 2
 
 
 # -- full pipeline ----------------------------------------------------------
