@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -263,7 +264,10 @@ def cmd_demo_inseparable(args):
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="locring",
         description="Exact isomorphism toolkit for the local rings K[X]/(P^n)")

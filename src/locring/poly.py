@@ -25,8 +25,9 @@ from .errors import (
 # bound on the degree of a parsed polynomial and on the degree n * deg P of a
 # ring modulus P^n, both of which come from outside input
 MAX_DEGREE = 1024
-# bound on D * E^2, about the coefficient products of a morphism's table of
-# powers from a D- to an E-dimensional ring; 2^24 admits D = E = 256
+# bound on the coefficient products of one morphism computation: the table
+# of powers of q from a D- to an E-dimensional ring, D*E*(deg q + 1), and
+# the elimination of its D'-column, E'-row matrix, D'*E'*min(D', E')
 MAX_TABLE_WORK = 2 ** 24
 
 

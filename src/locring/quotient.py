@@ -219,8 +219,8 @@ class StabilizingMorphism:
 
     The constructor stores ``images``, the payloads of q^0..q^D mod the target
     modulus (D the source dimension, E the target's; it raises
-    :class:`InvalidArgument` first when D*E^2 passes ``MAX_TABLE_WORK``),
-    and applies them to verify the certificate
+    :class:`InvalidArgument` first when D*E*(deg q + 1) passes
+    ``MAX_TABLE_WORK``), and applies them to verify the certificate
     ``sigma^X(P1^n1)(q) = 0 mod P2^n2``; it raises :class:`NotWellDefined`
     with the nonzero residue as witness when that fails.
 
@@ -233,13 +233,15 @@ class StabilizingMorphism:
     def __init__(self, source, target, sigma, q, s_cert=None):
         if not q.field == source.field == target.field:
             raise RingMismatch("X-image, source and target fields differ")
-        work = source.dimension * target.dimension ** 2
+        q = q % target.modulus
+        # q^(i+1) = q^i * q mod P2^n2 is about E*(deg q + 1) products
+        work = source.dimension * target.dimension * (q.degree + 1)
         if work > MAX_TABLE_WORK:
             raise InvalidArgument(
                 f"a morphism of dimensions {source.dimension} -> "
-                f"{target.dimension} needs D*E^2 = {work} products, past "
-                f"the work bound {MAX_TABLE_WORK}")
-        q = q % target.modulus
+                f"{target.dimension} with an X-image of degree {q.degree} "
+                f"needs D*E*(deg q+1) = {work} products, past the work "
+                f"bound {MAX_TABLE_WORK}")
         f, m = target.field, target.modulus.payload
         images = [(f._from_int(1),)]
         for _ in range(source.dimension):
@@ -331,7 +333,14 @@ class StabilizingMorphism:
 
 
 def _ring_to_dict(ring):
-    return {"field": _fields.format_field(ring.field),
+    field = ring.field
+    # parse_field reads extensions of a prime field only
+    if (isinstance(field, _fields.ExtensionField)
+            and not isinstance(field.base, _fields.PrimeField)):
+        raise UnsupportedField(
+            f"{field} has no field descriptor: only extensions of a prime "
+            "field can be written")
+    return {"field": _fields.format_field(field),
             "p": format_poly(ring.p),
             "n": ring.n}
 

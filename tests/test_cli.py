@@ -485,12 +485,35 @@ def test_long_rationals_are_not_printed(capsys, deadline):
 
 
 def test_check_morphism_work_is_bounded(tmp_path, capsys, deadline):
-    # D = E = 1024, so the table of powers needs D*E^2 = 2^30 products
+    # D = E = 1024 and deg q = 1023, so the table of powers needs
+    # D*E*(deg q + 1) = 2^30 products
     ring = {"field": "F3", "p": "x^2+1", "n": 512}
     q = "+".join(f"x^{i}" for i in range(1023, 1, -1)) + "+x+1"
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"source": ring, "target": ring, "sigma": "id",
                                 "q_image": q}), encoding="utf-8")
+    _assert_bounded(capsys, deadline, "check", "--morphism", str(path),
+                    expected=f"bound {MAX_TABLE_WORK}")
+
+
+def test_lift_with_constant_image_is_not_bounded(capsys):
+    # D = E = 300 with a constant X-image: the table of powers needs only
+    # D*E*(deg q + 1) = 90,000 products
+    code, out, _ = run(capsys, "lift", "--field", "F3", "--p1", "x+1",
+                       "--p2", "x+2", "--power", "300")
+    assert code == 0
+    assert "verdict: not injective" in out
+
+
+def test_check_matrix_elimination_is_bounded(tmp_path, capsys, deadline):
+    # the same morphism builds cheaply, but its 300 x 300 matrix needs
+    # D'*E'*min(D', E') = 27,000,000 products to eliminate
+    ring = {"field": "F3", "p": "x+1", "n": 300}
+    target = {"field": "F3", "p": "x+2", "n": 300}
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"source": ring, "target": target,
+                                "sigma": "id", "q_image": "2"}),
+                    encoding="utf-8")
     _assert_bounded(capsys, deadline, "check", "--morphism", str(path),
                     expected=f"bound {MAX_TABLE_WORK}")
 

@@ -175,6 +175,23 @@ def test_morphism_json_round_trip_over_q():
     assert L.StabilizingMorphism.from_json(f.to_json()) == f
 
 
+def test_morphism_json_round_trip_over_f4():
+    f4 = L.ExtensionField(F2, (1, 1, 1))
+    ring = L.QuotientRing(Poly(f4, (f4.gen(), f4.one())), 2)
+    f = L.StabilizingMorphism.identity(ring)
+    assert L.StabilizingMorphism.from_json(f.to_json()) == f
+
+
+def test_tower_rings_are_not_serialized():
+    # parse_field cannot read F2[x]/(x^2+x+1)[x]/(x^2+x+a) back, so
+    # to_json refuses to write it
+    f4 = L.ExtensionField(F2, (1, 1, 1))
+    tower = L.ExtensionField(f4, (f4.gen(), 1, 1), gen="b")
+    ring = L.QuotientRing(Poly(tower, (tower.gen(), tower.one())), 1)
+    with pytest.raises(UnsupportedField, match=r"F2\[x\]/\(x\^2\+x\+1\)\[x\]"):
+        L.StabilizingMorphism.identity(ring).to_json()
+
+
 def test_certificate_residue_is_exactly_zero():
     # every constructed morphism re-verifies its certificate on construction;
     # recompute it here independently

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import locring as L
 from locring.errors import TooLarge
 from locring.poly import Poly
 from locring.verify import (
+    ExhaustiveCheckReport,
     Matrix,
     certify_isomorphism,
     exhaustive_morphism_check,
@@ -122,14 +124,22 @@ def test_certify_frobenius_lift_false():
     assert kernel_dimension(L.lift_morphism(f, 2)) > 0
 
 
-def test_exhaustive_check_embedding():
-    f = L.embed_residue_field(P(F2, "x^2+x+1"), 2)
-    report = exhaustive_morphism_check(f)
-    assert report.passed
-    assert report.n_pairs == 16
+def objectwise_morphism_check(f):
+    """The morphism law on ring elements, pair by pair, in the order of
+    ``exhaustive_morphism_check``: the reference for its payload loop."""
+    elems = list(f.source.elements())
+    images = {a: f(a) for a in elems}
+    n = 0
+    for a, b in itertools.product(elems, repeat=2):
+        n += 1
+        if images[a] + images[b] != images[a + b]:
+            return ExhaustiveCheckReport(False, n, (a, b, "add"))
+        if images[a] * images[b] != images[a * b]:
+            return ExhaustiveCheckReport(False, n, (a, b, "mul"))
+    return ExhaustiveCheckReport(True, n)
 
 
-def test_exhaustive_check_detects_corruption():
+def corrupted_embedding():
     # X -> U + P is not well defined mod P^2 (P(U+P) = P mod P^2), so the
     # substitution map violates the morphism law somewhere
     f = L.embed_residue_field(P(F2, "x^2+x+1"), 2)
@@ -141,7 +151,94 @@ def test_exhaustive_check_detects_corruption():
                         ("sigma", f.sigma), ("q_image", q),
                         ("s_cert", None), ("images", images)]:
         object.__setattr__(corrupted, name, value)
-    report = exhaustive_morphism_check(corrupted)
+    return corrupted
+
+
+class OneToZero:
+    """The identity of F2[x]/(x^2+x+1) but for 1 -> 0: multiplicative on
+    (x, x), not additive on (x, 1).  A real morphism is additive by
+    construction, so only a stand-in reaches the "add" witness."""
+
+    def __init__(self):
+        self.source = self.target = L.QuotientRing(P(F2, "x^2+x+1"), 1)
+
+    def __call__(self, a):
+        return self.target.zero() if a == 1 else a
+
+
+class CoefficientOfX:
+    """a -> (coefficient of x in a) on F2[x]/(x^2+x+1): additive, and
+    multiplicative on (x, x) but not on (x, 1).  Both stand-ins fail first
+    on (x, 1), whose swap (1, x) comes later, so they pin the witness's
+    order."""
+
+    def __init__(self):
+        self.source = self.target = L.QuotientRing(P(F2, "x^2+x+1"), 1)
+
+    def __call__(self, a):
+        return self.target.element(a.rep.coeff(1))
+
+
+def _frobenius_lift_over_f4():
+    shift = F4.gen() - L.frobenius(1).apply(F4.gen())
+    residue = L.find_residue_isomorphisms(Poly(F4, (F4.gen(), F4.one())),
+                                          Poly(F4, (shift, F4.one())),
+                                          L.frobenius(1))[0]
+    return L.lift_morphism(residue, 2)
+
+
+def _lift_f3():
+    f = L.find_residue_isomorphisms(P(F3, "x^2+1"), P(F3, "x^2+x+2"))[0]
+    return L.lift_morphism(f, 2)
+
+
+def _x_to_x2_lift_f2():
+    p = P(F2, "x^3+x+1")
+    f = L.residue_morphism_from_Q(p, p, L.IDENTITY, P(F2, "x^2"))
+    return L.lift_morphism(f, 2)
+
+
+LAW_CASES = {
+    "identity-F2": lambda: L.StabilizingMorphism.identity(
+        L.QuotientRing(P(F2, "x^2+x+1"), 2)),
+    "identity-F3": lambda: L.StabilizingMorphism.identity(
+        L.QuotientRing(P(F3, "x^2+1"), 1)),
+    "embedding-F2": lambda: L.embed_residue_field(P(F2, "x^2+x+1"), 2),
+    "embedding-F3": lambda: L.embed_residue_field(P(F3, "x^2+1"), 2),
+    "lift-F3": _lift_f3,
+    "frobenius-lift-F4": _frobenius_lift_over_f4,
+    "x-to-x^2-lift-F2": _x_to_x2_lift_f2,
+    "corrupted": corrupted_embedding,
+    "not-additive": OneToZero,
+    "not-multiplicative": CoefficientOfX,
+}
+
+
+@pytest.mark.parametrize("name", list(LAW_CASES))
+def test_exhaustive_check_matches_objectwise_loop(name):
+    f = LAW_CASES[name]()
+    report = exhaustive_morphism_check(f)
+    assert report == objectwise_morphism_check(f)
+    if name in ("not-additive", "not-multiplicative"):
+        ring = f.source
+        op = "add" if name == "not-additive" else "mul"
+        assert report.witness == (ring.gen(), ring.one(), op)
+    elif name == "corrupted":
+        assert report.witness[2] == "mul"
+    else:
+        assert report.passed
+        assert report.n_pairs == f.source.order() ** 2
+
+
+def test_exhaustive_check_embedding():
+    f = L.embed_residue_field(P(F2, "x^2+x+1"), 2)
+    report = exhaustive_morphism_check(f)
+    assert report.passed
+    assert report.n_pairs == 16
+
+
+def test_exhaustive_check_detects_corruption():
+    report = exhaustive_morphism_check(corrupted_embedding())
     assert not report.passed
     assert report.witness is not None
 
