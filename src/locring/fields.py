@@ -7,15 +7,15 @@ is equality of payloads.  Supported fields:
   * ``PrimeField(p)``          -- payload: int in ``[0, p)``
   * ``RationalFunctionField(p, var)`` -- payload: pair of int-coefficient
     polynomial tuples (numerator, denominator), denominator monic, coprime
-  * ``ExtensionField(base, min_coeffs, gen)`` -- payload: tuple of base-field
-    payloads of length ``deg(min poly)``, i.e. the reduced representative
+  * ``ExtensionField(base, min_coeffs, gen)`` -- payload: the remainder mod
+    the minimal polynomial, a kernel polynomial over the base (below)
 
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition and powering, uses the field's own scalar
 ops, and ``PrimeField`` replaces its add, multiply and divide loops with
 plain int loops.  ``Poly``, the numerators and denominators
-of ``F_p(t)`` and the representatives of ``F_p[x]/(m)`` all run on it.
+of ``F_p(t)`` and the elements of ``F_p[x]/(m)`` all run on it.
 
 Fields are immutable and hashable; elements are immutable value objects.
 """
@@ -29,7 +29,6 @@ from .errors import (
     DescriptorMismatch,
     DivisionByZero,
     InvalidArgument,
-    NotIrreducible,
     ParseError,
     UnsupportedAutomorphism,
     UnsupportedField,
@@ -375,7 +374,8 @@ class PrimeField(Field):
             raise DivisionByZero("polynomial division by zero")
         p = self.p
         db = len(b) - 1
-        inv_lead = pow(b[-1], -1, p)
+        monic = b[-1] == 1
+        inv_lead = None if monic else pow(b[-1], -1, p)
         rem = list(a)
         quo = [0] * max(len(rem) - db, 1)
         while len(rem) > db:
@@ -383,7 +383,7 @@ class PrimeField(Field):
             if not top:
                 continue
             k = len(rem) - db
-            c = top * inv_lead % p
+            c = top if monic else top * inv_lead % p
             quo[k] = c
             for j in range(db):
                 rem[k + j] -= c * b[j]
@@ -489,6 +489,9 @@ class ExtensionField(Field):
     residue field of a modulus over F4).  Irreducibility of the minimal
     polynomial is verified over a finite base unless the caller asserts it
     (``assume_irreducible=True``), and must be caller-asserted over Q.
+
+    An element is its remainder mod m as a kernel payload over the base,
+    the payload of a ``Poly`` and of a ``QuotientRing(m, 1)`` element.
     """
 
     def __init__(self, base, min_coeffs, gen="a", assume_irreducible=False):
@@ -506,62 +509,44 @@ class ExtensionField(Field):
         self.degree = len(min_coeffs) - 1
         self.gen_name = gen
         self.char = base.char
-        if base.is_finite():
-            from .poly import Poly, is_irreducible
-            if not assume_irreducible and not is_irreducible(
-                    Poly(base, min_coeffs)):
-                raise NotIrreducible(
-                    f"minimal polynomial is reducible over {base}")
-        elif not assume_irreducible:
-            raise UnsupportedField(
-                "irreducibility over Q cannot be verified; "
-                "pass assume_irreducible=True")
+        from .poly import Poly, check_irreducible
+        check_irreducible(Poly(base, min_coeffs), assume_irreducible)
 
     def gen(self):
         """The class of the adjoined root."""
-        return FieldElement(self, self._pad((self.base._from_int(0),
-                                             self.base._from_int(1))))
+        return self.element((0, 1))
 
     def from_base(self, c):
-        return FieldElement(self, self._pad((self.base.coerce(c).payload,)))
-
-    def _pad(self, c):
-        # a base polynomial of degree < d as a length-d representative
-        return tuple(c) + (self.base._from_int(0),) * (self.degree - len(c))
-
-    def _reduce(self, c):
-        return self._pad(self.base._pdivmod(self.base._ptrim(c), self._m)[1])
+        return self.element((c,))
 
     def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return self.base._padd(a, b)
 
     def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
+        return self.base._pneg(a)
 
     def _mul(self, a, b):
-        base = self.base
-        return self._reduce(base._pmul(base._ptrim(a), base._ptrim(b)))
+        return self.base._pdivmod(self.base._pmul(a, b), self._m)[1]
 
     def _inv(self, a):
-        a = self.base._ptrim(a)
         if not a:
             raise DivisionByZero(f"1/0 in {self}")
-        # m irreducible, so gcd(m, a) = 1 = u*m + v*a
-        return self._reduce(self.base._pgcdex(self._m, a)[2])
+        # m irreducible, so gcd(m, a) = 1 = u*m + v*a, and deg v < deg m
+        return self.base._pgcdex(self._m, a)[2]
 
     def _canon(self, a):
-        return self._reduce([self.base.coerce(c).payload for c in a])
+        return self.base._pdivmod([self.base.coerce(c).payload for c in a],
+                                  self._m)[1]
 
     def _from_int(self, k):
-        return self._pad((self.base._from_int(k),))
+        return self.base._ptrim((self.base._from_int(k),))
 
     def _is_zero(self, a):
-        return all(self.base._is_zero(c) for c in a)
+        return not a
 
     def format_payload(self, a):
         from .poly import Poly, format_poly
-        return format_poly(Poly._of(self.base, self.base._ptrim(a)),
-                           var=self.gen_name)
+        return format_poly(Poly._of(self.base, a), var=self.gen_name)
 
     def is_finite(self):
         return self.base.is_finite()
@@ -572,10 +557,11 @@ class ExtensionField(Field):
     def elements(self):
         base_payloads = [c.payload for c in self.base.elements()]
         for tup in itertools.product(base_payloads, repeat=self.degree):
-            yield FieldElement(self, tup)
+            yield FieldElement(self, self.base._ptrim(tup))
 
     def random_payload(self, rng):
-        return tuple(self.base.random_payload(rng) for _ in range(self.degree))
+        return self.base._ptrim([self.base.random_payload(rng)
+                                 for _ in range(self.degree)])
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField)

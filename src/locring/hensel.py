@@ -176,31 +176,33 @@ class StructureCheckReport:
 
 
 _EXHAUSTIVE_LIMIT = 3 ** 6
+_N_SAMPLES = 1000
+_N_PAIRS = 200
+_SEED = 0
 
 
-def structure_isomorphism_check(p, k, assume_irreducible=False, seed=0,
-                                n_samples=1000, n_pairs=200):
+def structure_isomorphism_check(p, k, assume_irreducible=False):
     """Verify that digit expansion realizes an isomorphism with the
     truncated polynomial ring over the residue field.
 
     Round-trips every element when the ring has at most 3^6 elements,
-    otherwise ``n_samples`` random elements; multiplicativity is checked on
-    sampled pairs against truncated convolution.
+    otherwise ``_N_SAMPLES`` random elements; multiplicativity is checked
+    on ``_N_PAIRS`` sampled pairs against truncated convolution.
     """
     ring = QuotientRing(p, k, assume_irreducible=assume_irreducible)
     hensel_root_series(p, k)  # raises NotSeparable early
     exhaustive = ring.field.is_finite() and ring.order() <= _EXHAUSTIVE_LIMIT
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     if exhaustive:
         test_set = list(ring.elements())
     else:
-        test_set = [ring.random_element(rng) for _ in range(n_samples)]
+        test_set = [ring.random_element(rng) for _ in range(_N_SAMPLES)]
     checked = 0
     for a in test_set:
         if from_digits(to_digits(a)) != a:
             return StructureCheckReport(False, exhaustive, checked, a)
         checked += 1
-    for _ in range(n_pairs):
+    for _ in range(_N_PAIRS):
         a = rng.choice(test_set)
         b = rng.choice(test_set)
         lhs = to_digits(a * b)

@@ -109,15 +109,15 @@ def _frobenius_orbit(a, q, d):
 
 
 def _root_vectors(p2, shifted, seed):
-    """The coefficient vectors of the d roots of sigma^X(P1) in
-    L2 = F_q[X]/(P2), in ascending lexicographic order: one root by
-    equal-degree splitting, the others its Frobenius orbit Q^(q^i)."""
+    """The payloads of the d roots of sigma^X(P1) in L2 = F_q[X]/(P2), in
+    ascending lexicographic order: one root by equal-degree splitting, the
+    others its Frobenius orbit Q^(q^i)."""
     field = p2.field
     if p2.degree == 1:
-        return [(field._neg(shifted.payload[0]),)]
+        return [field._ptrim((field._neg(shifted.payload[0]),))]
     # QuotientRing(P2, 1) has just verified P2
     ext = ExtensionField(field, p2.coeffs, assume_irreducible=True)
-    r = tuple(ext._pad((c,)) for c in shifted.payload)
+    r = tuple(field._ptrim((c,)) for c in shifted.payload)
     root = FieldElement(ext, _split_root(ext, r, random.Random(seed)))
     return [a.payload
             for a in _frobenius_orbit(root, field.order(), p2.degree)]
@@ -137,7 +137,7 @@ def _search(p1, p2, sigma):
     seed = f"{field}|{p1.payload}|{p2.payload}|{sigma.power}"
     found = []
     for vec in _root_vectors(p2, shifted, seed):
-        q = Poly._of(field, field._ptrim(vec))
+        q = Poly._of(field, vec)
         s = _residue_cofactor(p1, p2, sigma, q)
         found.append(StabilizingMorphism(source, target, sigma, q, s_cert=s))
     return tuple(found)
@@ -189,6 +189,13 @@ class LiftReport:
     verdict: bool
 
 
+def _cofactor(f, q_f):
+    """S_f for Q_f (the X-image mod P2): stored, else computed."""
+    if f.s_cert is not None:
+        return f.s_cert
+    return _residue_cofactor(f.source.p, f.target.p, f.sigma, q_f)
+
+
 def lift_is_isomorphism(f, n):
     """Decide whether the level-n lift of a residue morphism is bijective.
 
@@ -200,9 +207,7 @@ def lift_is_isomorphism(f, n):
         raise InvalidArgument("power must be >= 1")
     p2 = f.target.p
     q_f = f.q_image % p2
-    s_f = f.s_cert
-    if s_f is None:
-        s_f = _residue_cofactor(f.source.p, p2, f.sigma, q_f)
+    s_f = _cofactor(f, q_f)
     deriv_nonzero = not q_f.derivative().is_zero()
     gcd_one = gcd(s_f, p2).degree == 0
     if deriv_nonzero != gcd_one:
@@ -217,21 +222,16 @@ def lift_is_isomorphism(f, n):
 
 def kernel_witness(f, n):
     """For a residue morphism whose level-n lift (n >= 2) is NOT injective:
-    the nonzero class of P1^e killed by the lift, where e = ceil(n/m) and m
-    is the multiplicity of P2 in sigma^X(P1) o Q_f, capped at n (at degree 1
-    the composite is 0, Q_f being the root sigma(c1))."""
+    the nonzero class of P1^e killed by the lift, where e = ceil(n/m) and
+    m = 1 + v_P2(S_f), the multiplicity of P2 in sigma^X(P1) o Q_f = S_f*P2,
+    capped at n (at degree 1, S_f = 0, Q_f being the root sigma(c1))."""
     if n < 2:
         raise ValueError("kernel witnesses exist only for n >= 2")
     p2 = f.target.p
-    comp = apply_automorphism_to_poly(f.sigma, f.source.p).compose(
-        f.q_image % p2)
-    m = 0
-    while m < n:
-        quo, rem = divmod(comp, p2)
-        if not rem.is_zero():
-            break
-        comp = quo
-        m += 1
+    s_f = _cofactor(f, f.q_image % p2)
+    m = 1
+    while m < n and (s_f % p2).is_zero():
+        s_f, m = s_f // p2, m + 1
     if m < 2:
         raise ValueError("lift is injective; no kernel witness")
     e = -(-n // m)  # ceil(n/m); e*m >= n and e < n, so P1^e is nonzero

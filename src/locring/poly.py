@@ -18,6 +18,7 @@ from .errors import (
     DivisionByZero,
     InexactDivision,
     InvalidArgument,
+    NotIrreducible,
     ParseError,
     UnsupportedField,
 )
@@ -266,6 +267,18 @@ def is_irreducible(a):
         if gcd(a, h - x).degree != 0:
             return False
     return True
+
+
+def check_irreducible(p, assume_irreducible):
+    """NotIrreducible unless P is irreducible, verified over a finite field;
+    elsewhere UnsupportedField.  Skipped when the caller asserts it."""
+    if p.field.is_finite():
+        if not assume_irreducible and not is_irreducible(p):
+            raise NotIrreducible(f"{p} is reducible over {p.field}")
+    elif not assume_irreducible:
+        raise UnsupportedField(
+            f"cannot verify irreducibility over {p.field}; "
+            "pass assume_irreducible=True")
 
 
 def enumerate_polys(field, degree, monic=True):

@@ -26,10 +26,10 @@ from .poly import (
     MAX_TABLE_WORK,
     Poly,
     apply_automorphism_to_poly,
+    check_irreducible,
     check_power,
     ext_gcd,
     format_poly,
-    is_irreducible,
     parse_poly,
 )
 
@@ -49,13 +49,7 @@ class QuotientRing:
         if not p.is_monic():
             raise NotMonic(f"{p} is not monic")
         check_power(p, n)
-        if p.field.is_finite():
-            if not assume_irreducible and not is_irreducible(p):
-                raise NotIrreducible(f"{p} is reducible over {p.field}")
-        elif not assume_irreducible:
-            raise UnsupportedField(
-                f"cannot verify irreducibility over {p.field}; "
-                "pass assume_irreducible=True")
+        check_irreducible(p, assume_irreducible)
         object.__setattr__(self, "field", p.field)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)

@@ -144,8 +144,10 @@ def _flatten(rep, dimension, entry_field):
     coeffs = [rep.coeff(k) for k in range(dimension)]
     if rep.field == entry_field:
         return coeffs
-    # an extension payload is a tuple of prime-field payloads
-    return [FieldElement(entry_field, x) for c in coeffs for x in c.payload]
+    # an extension payload is a trimmed tuple of prime-field payloads
+    d = rep.field.degree
+    return [FieldElement(entry_field, x) for c in coeffs
+            for x in c.payload + (0,) * (d - len(c.payload))]
 
 
 def certify_isomorphism(f):

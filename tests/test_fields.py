@@ -72,6 +72,12 @@ def test_canonicalization_idempotent(field):
     for _ in range(50):
         a = field.random_element(rng)
         assert field._canon(a.payload) == a.payload
+        if a:
+            inv = (a ** -1).payload
+            assert field._canon(inv) == inv
+        if isinstance(field, L.ExtensionField):
+            # the kernel's trimmed polynomial form: no trailing zero
+            assert not a.payload or not field.base._is_zero(a.payload[-1])
 
 
 def test_identity_automorphism():
@@ -140,6 +146,17 @@ def test_tower_over_f4():
     assert [L.frobenius(e).apply(b) for e in range(1, 5)] == \
         [b ** 2, b ** 4, b ** 8, b]
     assert L.frobenius(2).apply(b) != b
+
+
+@pytest.mark.parametrize("field", [
+    F4, L.ExtensionField(F3, (1, 0, 1)),
+    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+], ids=repr)
+def test_extension_elements_in_ascending_payload_order(field):
+    # the residue search sorts a Frobenius orbit by payload into this order
+    payloads = [e.payload for e in field.elements()]
+    assert payloads == sorted(payloads)
+    assert len(set(payloads)) == field.order()
 
 
 def test_extension_inverse_exhaustive():

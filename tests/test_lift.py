@@ -5,7 +5,7 @@ import types
 import pytest
 
 import locring as L
-from locring import quotient
+from locring import poly
 from locring.errors import (
     DegreeMismatch,
     NotAMorphism,
@@ -97,9 +97,9 @@ def test_find_residue_isomorphisms_tests_irreducibility_once(monkeypatch):
         calls.append(p)
         return is_irreducible(p)
 
-    monkeypatch.setattr(quotient, "is_irreducible", counting)
-    L.find_residue_isomorphisms.cache_clear()
     irreducibles = L.enumerate_irreducibles(F3, 3)[:3]
+    monkeypatch.setattr(poly, "is_irreducible", counting)
+    L.find_residue_isomorphisms.cache_clear()
     for p1, p2 in itertools.product(irreducibles, repeat=2):
         assert len(L.find_residue_isomorphisms(p1, p2)) == 3
     assert len(calls) == 2 * 9  # P1 and P2 once per call, not once per hit

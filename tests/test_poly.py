@@ -100,12 +100,12 @@ def test_prime_kernel_agrees_with_generic_kernel(p):
 def test_poly_stores_payloads_and_boxes_coefficients():
     F4 = L.ExtensionField(F2, (1, 1, 1))
     a = P(F4, "a*x+1")
-    assert a.payload == ((1, 0), (0, 1))
+    assert a.payload == ((1,), (0, 1))
     assert all(isinstance(c, FieldElement) and c.field == F4
                for c in a.coeffs)
     assert a.coeffs == (F4.one(), F4.gen())
     assert a.leading() == F4.gen() and a.coeff(5) == F4.zero()
-    # an extension element's payload is a tuple of base-field payloads
+    # an extension element's payload is a trimmed tuple of base-field payloads
     assert F4.gen().payload == (0, 1)
     assert (F4.gen() ** 2).payload == (1, 1)
 
