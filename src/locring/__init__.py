@@ -59,7 +59,6 @@ from .verify import (
     kernel_basis,
     kernel_dimension,
     morphism_matrix,
-    rank,
 )
 
 __version__ = "0.1.0"

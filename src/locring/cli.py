@@ -14,7 +14,8 @@ import itertools
 import json
 import sys
 
-from .errors import LocringError, NotSeparable, ParseError, TooLarge
+from .errors import (InvalidArgument, LocringError, NotSeparable, ParseError,
+                     TooLarge)
 from .fields import IDENTITY, FieldAutomorphism, format_field, parse_field
 from .hensel import embed_residue_field, hensel_root_series, to_digits
 from .lift import (
@@ -209,6 +210,8 @@ def _survey_rows(field, max_degree, max_power, sigmas):
 
 
 def cmd_survey(args):
+    if min(args.max_degree, args.max_power) < 1:
+        raise InvalidArgument("--max-degree and --max-power must be >= 1")
     field = parse_field(args.field)
     if not field.is_finite():
         raise LocringError("survey requires a finite field")

@@ -535,8 +535,12 @@ class ExtensionField(Field):
         return self.base._pgcdex(self._m, a)[2]
 
     def _canon(self, a):
-        return self.base._pdivmod([self.base.coerce(c).payload for c in a],
-                                  self._m)[1]
+        # a coordinate is an int, a base element or, in a tower, a payload
+        base = self.base
+        tower = isinstance(base, ExtensionField)
+        return base._pdivmod([base._canon(c) if tower and isinstance(c, tuple)
+                              else base.coerce(c).payload for c in a],
+                             self._m)[1]
 
     def _from_int(self, k):
         return self.base._ptrim((self.base._from_int(k),))

@@ -25,7 +25,6 @@ from .errors import (
 from .poly import (
     MAX_TABLE_WORK,
     Poly,
-    apply_automorphism_to_poly,
     check_irreducible,
     check_power,
     ext_gcd,
@@ -184,15 +183,13 @@ class QuotientElement:
         """Image in K[X]/(P^m) under the canonical projection, 1 <= m <= n."""
         if not 1 <= m <= self.ring.n:
             raise BadTarget(f"cannot project level {self.ring.n} to level {m}")
-        target = self.ring.at_power(m)
-        return target.element(self.rep % target.modulus)
+        return self.ring.at_power(m).element(self.rep)
 
     def __eq__(self, other):
         if isinstance(other, QuotientElement):
             return self.ring == other.ring and self.rep == other.rep
         if isinstance(other, (int, Poly)):
-            o = self._coerce(other)
-            return o is not None and self == o
+            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):
@@ -244,7 +241,7 @@ class StabilizingMorphism:
                             ("sigma", sigma), ("q_image", q),
                             ("s_cert", s_cert), ("images", tuple(images))):
             object.__setattr__(self, name, value)
-        residue = self._apply(source.modulus)
+        residue = Poly._of(f, self._apply(source.modulus.payload))
         if not residue.is_zero():
             raise NotWellDefined(
                 f"x -> {format_poly(q)} does not map ({format_poly(source.p)})^"
@@ -252,15 +249,16 @@ class StabilizingMorphism:
                 f"residue {format_poly(residue)}",
                 witness=residue)
 
-    def _apply(self, rep):
-        """sigma^X(rep)(q) mod the target modulus, for deg rep <= D."""
-        f = self.target.field
+    def _apply(self, x):
+        """sigma^X(x)(q) mod the target modulus, on payloads, deg x <= D."""
+        f, sigma = self.target.field, self.sigma
         acc = ()
-        for c, img in zip(apply_automorphism_to_poly(self.sigma, rep).payload,
-                          self.images):
+        for c, img in zip(x, self.images):
             if not f._is_zero(c):
+                if not sigma.is_identity:
+                    c = sigma.apply(_fields.FieldElement(f, c)).payload
                 acc = f._padd(acc, f._pmul((c,), img))
-        return Poly._of(f, acc)
+        return acc
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizingMorphism is immutable")
@@ -276,15 +274,16 @@ class StabilizingMorphism:
     def __call__(self, a):
         if a.ring != self.source:
             raise RingMismatch(f"{a!r} is not in {self.source}")
-        return QuotientElement(self.target, self._apply(a.rep))
+        return QuotientElement(self.target, Poly._of(
+            self.target.field, self._apply(a.rep.payload)))
 
     def compose(self, other):
         """self o other (apply ``other`` first)."""
         if other.target != self.source:
             raise RingMismatch("morphism composition: target/source mismatch")
+        q = Poly._of(self.target.field, self._apply(other.q_image.payload))
         return StabilizingMorphism(other.source, self.target,
-                                   self.sigma.compose(other.sigma),
-                                   self._apply(other.q_image))
+                                   self.sigma.compose(other.sigma), q)
 
     def __eq__(self, other):
         return (isinstance(other, StabilizingMorphism)

@@ -32,26 +32,11 @@ class Matrix:
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
 
-    def mat_vec(self, v):
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, x in zip(row, v):
-                if not a.is_zero() and not x.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
     @staticmethod
     def from_columns(field, columns):
         nrows = len(columns[0])
         rows = tuple(tuple(col[r] for col in columns) for r in range(nrows))
         return Matrix(field=field, rows=rows)
-
-
-def rank(m):
-    return len(_row_echelon(m)[1])
 
 
 def kernel_basis(m):

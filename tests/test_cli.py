@@ -418,6 +418,15 @@ def test_survey_rows_agree_with_lift(capsys, field_text, max_degree, sigma):
         assert f"verdict: {verdict}\n" in out
 
 
+@pytest.mark.parametrize("bounds", [("0", "2"), ("-1", "2"), ("2", "0")],
+                         ids=["max-degree0", "max-degree-1", "max-power0"])
+def test_survey_rejects_empty_bounds(capsys, bounds):
+    code, out, err = run(capsys, "survey", "--field", "F2", "--max-degree",
+                         bounds[0], "--max-power", bounds[1])
+    _assert_input_error(code, err)
+    assert ">= 1" in err and not out
+
+
 def test_survey_rejects_infinite_field(capsys):
     code, _, err = run(capsys, "survey", "--field", "Q",
                        "--max-degree", "1", "--max-power", "1")

@@ -139,6 +139,11 @@ def test_tower_over_f4():
     assert b * b + b + f16.from_base(a) == f16.zero()
     assert f16.order() == 16 and len(set(f16.elements())) == 16
     assert all(x * x ** (-1) == f16.one() for x in f16.elements() if x)
+    # a payload is read back as the element it came from
+    assert all(f16.element(x.payload) == x for x in f16.elements())
+    assert f16.element((a.payload, (1,))) == f16.from_base(a) + b
+    with pytest.raises(DescriptorMismatch):
+        f16.element((L.PrimeField(3).one(),))
     with pytest.raises(NotIrreducible):
         L.ExtensionField(F4, (0, 1, 1))  # x^2+x = x(x+1)
     # Frobenius powers act by x -> x^(2^e) with period 4, the absolute

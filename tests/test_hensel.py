@@ -3,8 +3,10 @@ import random
 import pytest
 
 import locring as L
-from locring.errors import NotSeparable
+from locring import hensel
+from locring.errors import InexactDivision, NotSeparable, RingMismatch
 from locring.hensel import (
+    ResidueDigits,
     _embedding,
     digits_mul,
     structure_isomorphism_check,
@@ -15,6 +17,9 @@ F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
+F4 = L.ExtensionField(F2, (1, 1, 1))
+# coefficient payloads: Fractions, pairs of tuples and nested tuples
+PAYLOAD_KINDS = [(Q, "x^2-2"), (F2T, "x^2+x+t"), (F4, "x^2+x+a")]
 
 
 def P(field, text):
@@ -203,13 +208,63 @@ def test_digit_lengths_and_dimension():
     assert ring.dimension == 6
 
 
-def test_digits_mul_matches_ring_mul():
-    ring = L.QuotientRing(P(F2, "x^2+x+1"), 3)
-    rng = random.Random(4)
-    for _ in range(100):
+def _ring(field, ptext, k):
+    return L.QuotientRing(P(field, ptext), k,
+                          assume_irreducible=not field.is_finite())
+
+
+def _is_canonical(x):
+    # trimmed, and each coefficient in the field's canonical form
+    f, payload = x.rep.field, x.rep.payload
+    return (not payload or not f._is_zero(payload[-1])) and all(
+        f._canon(c) == c for c in payload)
+
+
+@pytest.mark.parametrize("field,ptext", PAYLOAD_KINDS, ids=repr)
+def test_digits_round_trip_payload_kinds(field, ptext):
+    ring = _ring(field, ptext, 3)
+    rng = random.Random(5)
+    for _ in range(30):
         a = ring.random_element(rng)
-        b = ring.random_element(rng)
-        assert L.to_digits(a * b) == digits_mul(L.to_digits(a), L.to_digits(b))
+        d = L.to_digits(a)
+        assert all(x.ring == ring.at_power(1) and _is_canonical(x) for x in d)
+        assert L.from_digits(d) == a
+
+
+def test_digits_mul_matches_ring_mul():
+    for field, ptext in [(F2, "x^2+x+1")] + PAYLOAD_KINDS:
+        ring = _ring(field, ptext, 3)
+        rng = random.Random(4)
+        for _ in range(100):
+            a = ring.random_element(rng)
+            b = ring.random_element(rng)
+            prod = digits_mul(L.to_digits(a), L.to_digits(b))
+            assert L.to_digits(a * b) == prod
+            assert all(_is_canonical(x) for x in prod)
+
+
+def test_digits_outside_the_residue_field_are_refused():
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
+    other = L.QuotientRing(P(F2, "x^3+x+1"), 1)
+    for digits in [(ring.gen(), ring.one()), (other.gen(), other.one())]:
+        with pytest.raises(RingMismatch):
+            ResidueDigits(ring=ring, digits=digits)
+
+
+def test_to_digits_keeps_its_exactness_check(monkeypatch):
+    # X -> X + 1 is not a section, so a - embed(a_0) is not divisible by P
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
+
+    class Shifted:
+        source = ring.at_power(1)
+
+        @staticmethod
+        def _apply(x):
+            return F2._pcompose(x, (1, 1))
+
+    monkeypatch.setattr(hensel, "_embedding", lambda p, k: Shifted)
+    with pytest.raises(InexactDivision):
+        L.to_digits(ring.gen())
 
 
 # -- structure isomorphism check -------------------------------------------
