@@ -27,7 +27,8 @@ from .lift import (
     residue_morphism_from_Q,
     rings_isomorphic_separable,
 )
-from .poly import enumerate_irreducibles, format_poly, gcd, parse_poly
+from .poly import (MAX_TABLE_WORK, enumerate_irreducibles, format_poly, gcd,
+                   parse_poly)
 from .quotient import QuotientRing, StabilizingMorphism
 from .verify import (
     exhaustive_morphism_check,
@@ -209,6 +210,22 @@ def _survey_rows(field, max_degree, max_power, sigmas):
     return rows
 
 
+def _charge_survey(q, max_degree, max_power, n_sigmas):
+    """InvalidArgument unless an upper bound on the survey's work is within
+    MAX_TABLE_WORK: at most q^d/d irreducibles of each degree d, so
+    (q^d/d)^2 pairs per sigma, each lifted to every n <= P, at up to
+    (P*d)^2 products per lift."""
+    work = 0
+    for d in range(1, max_degree + 1):
+        pairs = (q ** d // d) ** 2 * n_sigmas
+        work += pairs * max_power * (max_power * d) ** 2
+        if work > MAX_TABLE_WORK:
+            raise InvalidArgument(
+                f"survey to degree {max_degree} and power {max_power}: the "
+                f"sum of (q^d/d)^2 * |sigmas| * P * (P*d)^2 reaches {work} "
+                f"at d = {d}, past the work bound {MAX_TABLE_WORK}")
+
+
 def cmd_survey(args):
     if min(args.max_degree, args.max_power) < 1:
         raise InvalidArgument("--max-degree and --max-power must be >= 1")
@@ -218,6 +235,8 @@ def cmd_survey(args):
     sigmas = [IDENTITY]
     if args.sigma:
         sigmas.append(FieldAutomorphism.parse(args.sigma))
+    _charge_survey(field.order(), args.max_degree, args.max_power,
+                   len(sigmas))
     rows = _survey_rows(field, args.max_degree, args.max_power, sigmas)
     out = open(args.output, "w", newline="", encoding="utf-8") \
         if args.output else sys.stdout

@@ -13,9 +13,13 @@ is equality of payloads.  Supported fields:
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition and powering, uses the field's own scalar
-ops, and ``PrimeField`` replaces its add, multiply and divide loops with
-plain int loops.  ``Poly``, the numerators and denominators
-of ``F_p(t)`` and the elements of ``F_p[x]/(m)`` all run on it.
+ops.  Three fields replace some of its loops: ``PrimeField`` adds,
+multiplies and divides with plain int loops, and ``Rationals`` and
+``RationalFunctionField`` multiply and divide over one common denominator,
+on numerators in Z or F_p[t], normalizing each output coefficient once (a
+divisor whose cleared leading coefficient is not a unit takes the generic
+loop).  ``Poly``, the numerators and denominators of ``F_p(t)`` and the
+elements of ``F_p[x]/(m)`` all run on it.
 
 Fields are immutable and hashable; elements are immutable value objects.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -290,6 +295,54 @@ class Rationals(Field):
     def random_payload(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
+    # the polynomial kernel on integer numerators over one common
+    # denominator, normalizing each output coefficient once
+    @staticmethod
+    def _clear(a):
+        """(numerators, den) with a[i] = numerators[i] / den."""
+        den = 1
+        for c in a:
+            d = c.denominator
+            if d != 1 and d != den:
+                den = lcm(den, d)
+        return [c.numerator * (den // c.denominator) for c in a], den
+
+    def _pmul(self, a, b):
+        if not a or not b:
+            return ()
+        (a, da), (b, db) = self._clear(a), self._clear(b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        den = da * db
+        return self._ptrim([Fraction(c, den) for c in out])
+
+    def _pdivmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        bn, db = self._clear(b)
+        if bn[-1] not in (1, -1):
+            return Field._pdivmod(self, a, b)
+        if bn[-1] == -1:
+            bn, db = [-c for c in bn], -db
+        # with a = an/da and b = bn/db, bn monic over Z, an = quo*bn + rem
+        # over Z gives a = (quo*db/da)*b + rem/da
+        rem, da = self._clear(a)
+        nb = len(bn) - 1
+        quo = [0] * max(len(rem) - nb, 1)
+        while len(rem) > nb:
+            top = rem.pop()
+            if not top:
+                continue
+            k = len(rem) - nb
+            quo[k] = top
+            for j in range(nb):
+                rem[k + j] -= top * bn[j]
+        return (self._ptrim([Fraction(c * db, da) for c in quo]),
+                self._ptrim([Fraction(c, da) for c in rem]))
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -418,11 +471,16 @@ class RationalFunctionField(Field):
             raise DivisionByZero(f"zero denominator in {self}")
         if not num:
             return ((), (1,))
+        if den == (1,):
+            return (num, den)
         g = fp._pgcd(num, den)
         if len(g) > 1:
             num = fp._pdivmod(num, g)[0]
             den = fp._pdivmod(den, g)[0]
-        return (fp._pmul(num, (fp._inv(den[-1]),)), fp._pmonic(den))
+        if den[-1] == 1:
+            return (num, den)
+        unit = (fp._inv(den[-1]),)
+        return (fp._pmul(num, unit), fp._pmul(den, unit))
 
     def _add(self, a, b):
         fp = self._fp
@@ -470,6 +528,59 @@ class RationalFunctionField(Field):
             den = trim([rng.randrange(self.p)
                         for _ in range(rng.randint(1, 3))])
         return self._reduce(num, den)
+
+    # the polynomial kernel on F_p[t] numerators over one common
+    # denominator, normalizing each output coefficient once
+    def _clear(self, a):
+        """(numerators, den) with a[i] = numerators[i] / den, den monic."""
+        fp = self._fp
+        den = (1,)
+        for _, d in a:
+            if d != (1,) and d != den:
+                den = fp._pmul(den, fp._pdivmod(d, fp._pgcd(den, d))[0])
+        return [n if d == den else
+                fp._pmul(n, den if d == (1,) else fp._pdivmod(den, d)[0])
+                for n, d in a], den
+
+    def _pmul(self, a, b):
+        if not a or not b:
+            return ()
+        fp = self._fp
+        (a, da), (b, db) = self._clear(a), self._clear(b)
+        out = [()] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = fp._padd(out[i + j], fp._pmul(ai, bj))
+        den = fp._pmul(da, db)
+        return self._ptrim([self._reduce(c, den) for c in out])
+
+    def _pdivmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        fp = self._fp
+        bn, db = self._clear(b)
+        if len(bn[-1]) != 1:
+            return Field._pdivmod(self, a, b)
+        # scale bn to monic by the unit bn[-1] and db with it; then, with
+        # a = an/da, an = quo*bn + rem over F_p[t] gives
+        # a = (quo*db/da)*b + rem/da
+        unit = (fp._inv(bn[-1][0]),)
+        neg_bn = [fp._pneg(fp._pmul(c, unit)) for c in bn]
+        db = fp._pmul(db, unit)
+        rem, da = self._clear(a)
+        nb = len(bn) - 1
+        quo = [()] * max(len(rem) - nb, 1)
+        while len(rem) > nb:
+            top = rem.pop()
+            if not top:
+                continue
+            k = len(rem) - nb
+            quo[k] = top
+            for j in range(nb):
+                rem[k + j] = fp._padd(rem[k + j], fp._pmul(top, neg_bn[j]))
+        return (self._ptrim([self._reduce(fp._pmul(c, db), da) for c in quo]),
+                self._ptrim([self._reduce(c, da) for c in rem]))
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunctionField)

@@ -28,7 +28,8 @@ from .errors import (
 MAX_DEGREE = 1024
 # bound on the coefficient products of one morphism computation: the table
 # of powers of q from a D- to an E-dimensional ring, D*E*(deg q + 1), and
-# the elimination of its D'-column, E'-row matrix, D'*E'*min(D', E')
+# the elimination of its D'-column, E'-row matrix, D'*E'*min(D', E'); the
+# CLI's survey charges an upper bound on its whole work against it too
 MAX_TABLE_WORK = 2 ** 24
 
 

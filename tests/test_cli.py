@@ -427,6 +427,18 @@ def test_survey_rejects_empty_bounds(capsys, bounds):
     assert ">= 1" in err and not out
 
 
+@pytest.mark.parametrize("bounds", [("40", "1"), ("2", "100000")],
+                         ids=["max-degree40", "max-power100000"])
+def test_survey_rejects_work_past_the_bound(capsys, bounds):
+    # charged before any irreducible is enumerated or any lift computed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "survey", "--field", "F2", "--max-degree",
+                         bounds[0], "--max-power", bounds[1])
+    assert time.perf_counter() - start < 1
+    _assert_input_error(code, err)
+    assert "work bound" in err and not out
+
+
 def test_survey_rejects_infinite_field(capsys):
     code, _, err = run(capsys, "survey", "--field", "Q",
                        "--max-degree", "1", "--max-power", "1")

@@ -75,7 +75,8 @@ def test_divmod_round_trip(field):
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_prime_kernel_agrees_with_generic_kernel(p):
-    # PrimeField's int loops are the one specialisation of the Field kernel
+    # PrimeField replaces the Field kernel's add, multiply and divide loops
+    # with int loops
     F = L.PrimeField(p)
     rng = random.Random(p)
     fixed = [((), ()), ((), (1,)), ((1,), ()), ((0, 1, 1, 1, 1), (1, 1)),
@@ -88,6 +89,69 @@ def test_prime_kernel_agrees_with_generic_kernel(p):
         a, b = F._ptrim(a), F._ptrim(b)
         assert F._padd(a, b) == Field._padd(F, a, b)
         assert F._pmul(a, b) == Field._pmul(F, a, b)
+        if b:
+            assert F._pdivmod(a, b) == Field._pdivmod(F, a, b)
+        else:
+            with pytest.raises(DivisionByZero):
+                F._pdivmod(a, b)
+            with pytest.raises(DivisionByZero):
+                Field._pdivmod(F, a, b)
+
+
+F3T = L.RationalFunctionField(3, "t")
+# (dividend, divisor) texts per field: a constant, a monic integral divisor,
+# a divisor with a fractional coefficient whose cleared leading coefficient
+# is a unit, one whose cleared leading coefficient is not (x^2+x/2 clears to
+# 2x^2+x), a unit leading coefficient other than 1, and zero coefficients
+# inside the operands
+FRACTION_KERNEL_CASES = {
+    Q: [("x^3/5-2", "7/3"), ("7/3", "x^2-2"), ("x^5+x/3+1", "x^2-2"),
+        ("x^4/7-x+1/2", "x^2/2+1"), ("x^3-x/5", "-x^3/6+x/2+1/3"),
+        ("x^4+x/3", "x^2+x/2"), ("x^2+1", "2*x/3+1"), ("x^5-1", "-x^2+1"),
+        ("x^6+1/2", "x^4+3")],
+    F2T: [("x^3/t+1", "(t+1)/t"), ("x^5+x/t+t", "x^2+x+t"),
+          ("x^4/(t+1)+x", "x^2/(t^2+t)+x/t+1"), ("x^4+x/t", "x^2+x/t"),
+          ("x^3+t", "t*x+1"), ("x^6+1/t", "x^4+t^3")],
+    F3T: [("x^4/t+2", "2*x^2+x+t"), ("x^5+t*x", "x^2/t+2"),
+          ("x^3+1", "(2*t+1)/(t^2+1)*x^2+x+2"), ("x^6+2/t", "x^4+t")],
+}
+
+
+def _integral(field, rng):
+    if field == Q:
+        return Fraction(rng.randint(-5, 5))
+    return field._canon(([rng.randrange(field.p) for _ in range(3)], (1,)))
+
+
+@pytest.mark.parametrize("F", [Q, F2T, F3T], ids=repr)
+def test_fraction_kernels_agree_with_generic_kernel(F):
+    # the common-denominator loops of Q and F_p(t) against the Field kernel
+    zero, one = F._from_int(0), F._from_int(1)
+    rng = random.Random(repr(F))
+    fixed = [(P(F, a).payload, P(F, b).payload)
+             for a, b in FRACTION_KERNEL_CASES[F]]
+    fixed += [((), ()), ((), (one,)), ((one,), ()), ((), (one, one))]
+    a, b = fixed[1]
+    fixed += [(a + (zero, zero), b)]  # an untrimmed dividend
+
+    def rand(n):
+        return F._ptrim([F.random_payload(rng) if rng.random() < 0.8 else zero
+                         for _ in range(n)])
+
+    pairs = list(fixed)
+    for i in range(300):
+        a, n = rand(rng.randint(0, 7)), rng.randint(0, 4)
+        b = rand(n)
+        if i % 3:
+            # a monic integral divisor, or one over a common denominator c
+            b = tuple(_integral(F, rng) for _ in range(n)) + (one,)
+            c = _integral(F, rng)
+            if i % 3 == 2 and not F._is_zero(c):
+                b = F._pmul(b, (F._inv(c),))
+        pairs.append((a, b))
+    for a, b in pairs:
+        assert F._pmul(a, b) == Field._pmul(F, a, b)
+        assert F._pmul(b, a) == Field._pmul(F, b, a)
         if b:
             assert F._pdivmod(a, b) == Field._pdivmod(F, a, b)
         else:
