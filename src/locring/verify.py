@@ -5,6 +5,11 @@ A morphism between quotient rings is linear over the base field when its
 base automorphism is the identity (or acts trivially, as on prime fields);
 a genuine Frobenius twist over an extension field is verified over the
 prime subfield, where it becomes linear.
+
+A :class:`Matrix` holds payloads of its field, not ``FieldElement``s: its
+columns are read from the morphism's stored table of powers, elimination
+runs in the field's scalar kernel, and only ``kernel_basis`` boxes, the
+vectors it returns.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgument, TooLarge, UnsupportedAutomorphism
 from .fields import ExtensionField, FieldElement, PrimeField
-from .poly import MAX_TABLE_WORK, Poly
+from .poly import MAX_TABLE_WORK
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Rectangular matrix over one field, row-major."""
+    """Rectangular matrix over one field, row-major; each entry is a
+    payload of ``field``."""
 
     field: object
     rows: tuple
@@ -32,60 +38,55 @@ class Matrix:
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
 
-    @staticmethod
-    def from_columns(field, columns):
-        nrows = len(columns[0])
-        rows = tuple(tuple(col[r] for col in columns) for r in range(nrows))
-        return Matrix(field=field, rows=rows)
-
 
 def kernel_basis(m):
-    """Basis of the null space by exact Gaussian elimination; empty list
-    iff the matrix is injective."""
+    """Basis of the null space by exact Gaussian elimination, as lists of
+    ``FieldElement``s; empty iff the matrix is injective."""
     rows, pivots = _row_echelon(m)
-    ncols = m.ncols
     field = m.field
-    zero, one = field.zero(), field.one()
-    pivot_cols = {c: r for r, c in enumerate(pivots)}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    zero, one = field._from_int(0), field._from_int(1)
     basis = []
-    for fc in free_cols:
-        v = [zero] * ncols
+    for fc in sorted(set(range(m.ncols)) - set(pivots)):
+        v = [zero] * m.ncols
         v[fc] = one
         # back-substitute pivot coordinates (rows are reduced echelon)
-        for c, r in pivot_cols.items():
-            v[c] = -rows[r][fc]
-        basis.append(v)
+        for r, c in enumerate(pivots):
+            v[c] = field._neg(rows[r][fc])
+        basis.append([FieldElement(field, x) for x in v])
     return basis
 
 
 def _row_echelon(m):
-    """Reduced row echelon form; returns (rows, pivot column list).
+    """Reduced row echelon form of the payload rows; returns (rows, pivot
+    column list).
 
-    Eliminates on unboxed payloads with the field's scalar ops."""
+    When column c is reached, every row from the current one down is zero
+    left of c, so each row operation starts at c."""
     field = m.field
-    rows = [[x.payload for x in row] for row in m.rows]
-    nrows, ncols = len(rows), m.ncols
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
+    rows = [list(row) for row in m.rows]
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows)
-                      if not field._is_zero(rows[i][c])), None)
+    for c in range(m.ncols):
+        pivot = next((i for i in range(r, nrows) if not is_zero(rows[i][c])),
+                     None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field._inv(rows[r][c])
-        rows[r] = [field._mul(x, inv) for x in rows[r]]
+        top = [mul(x, inv) for x in rows[r][c:]]
+        rows[r][c:] = top
         for i in range(nrows):
-            if i != r and not field._is_zero(rows[i][c]):
-                f = field._neg(rows[i][c])
-                rows[i] = [field._add(x, field._mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+            if i != r and not is_zero(rows[i][c]):
+                g = neg(rows[i][c])
+                rows[i][c:] = [add(x, mul(g, y))
+                               for x, y in zip(rows[i][c:], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [[FieldElement(field, x) for x in row] for row in rows], pivots
+    return rows, pivots
 
 
 def morphism_matrix(f):
@@ -93,57 +94,54 @@ def morphism_matrix(f):
 
     Linear morphisms give a matrix over the base field K; Frobenius-twisted
     morphisms over an extension of F_p give a matrix over F_p on the basis
-    a^j * X^i.
+    a^j * X^i.  Column i (or j*D + i) holds the coordinates of f(X^i) =
+    q^i (or of f(a^j * X^i) = sigma(a^j) * q^i), read from ``f.images``.
     """
     field = f.source.field
-    if f.sigma.is_identity or isinstance(field, PrimeField):
-        scalars, entry_field = [field.one()], field
-    elif isinstance(field, ExtensionField) and isinstance(field.base,
-                                                          PrimeField):
-        scalars = [f.sigma.apply(field.gen() ** j)
-                   for j in range(field.degree)]
-        entry_field = field.base
-    else:
+    twisted = not (f.sigma.is_identity or isinstance(field, PrimeField))
+    if twisted and not (isinstance(field, ExtensionField)
+                        and isinstance(field.base, PrimeField)):
         raise UnsupportedAutomorphism(
             f"cannot linearize sigma = {f.sigma.label()} over {field}")
+    k = field.degree if twisted else 1
+    entry_field = field.base if twisted else field
     # one row and one column per coordinate over entry_field
-    ncols = len(scalars) * f.source.dimension
-    nrows = len(scalars) * f.target.dimension
+    ncols = k * f.source.dimension
+    nrows = k * f.target.dimension
     work = ncols * nrows * min(ncols, nrows)
     if work > MAX_TABLE_WORK:
         raise InvalidArgument(
             f"eliminating the {nrows} x {ncols} matrix of a morphism needs "
             f"D'*E'*min(D', E') = {work} products, past the work bound "
             f"{MAX_TABLE_WORK}")
-    # f(s * X^i) = sigma(s) * q^i, X fastest
-    columns = [_flatten(Poly._of(field, img) * s, f.target.dimension,
-                        entry_field)
-               for s in scalars for img in f.images[:f.source.dimension]]
-    return Matrix.from_columns(entry_field, columns)
-
-
-def _flatten(rep, dimension, entry_field):
-    """Coordinates over entry_field of a representative on the first
-    ``dimension`` monomials, each coefficient split into prime-field
-    coordinates when entry_field is the prime subfield of its field."""
-    coeffs = [rep.coeff(k) for k in range(dimension)]
-    if rep.field == entry_field:
-        return coeffs
-    # an extension payload is a trimmed tuple of prime-field payloads
-    d = rep.field.degree
-    return [FieldElement(entry_field, x) for c in coeffs
-            for x in c.payload + (0,) * (d - len(c.payload))]
+    images = f.images[:f.source.dimension]
+    dim = f.target.dimension
+    if not twisted:
+        zero = field._from_int(0)
+        columns = [img + (zero,) * (dim - len(img)) for img in images]
+    else:
+        # an extension payload is a trimmed tuple of prime-field ints
+        one = field._from_int(1)
+        columns = []
+        for j in range(k):
+            s = f.sigma.apply(field.gen() ** j).payload
+            for img in images:
+                coeffs = img if s == one else [field._mul(c, s) for c in img]
+                col = [x for c in coeffs for x in c + (0,) * (k - len(c))]
+                columns.append(col + [0] * (k * dim - len(col)))
+    return Matrix(entry_field, tuple(zip(*columns)))
 
 
 def certify_isomorphism(f):
-    """True iff the morphism is injective with equal source/target
-    dimensions (then bijective)."""
+    """True iff the morphism's matrix is square of full rank (then the
+    morphism is bijective)."""
     m = morphism_matrix(f)
-    return m.nrows == m.ncols and not kernel_basis(m)
+    return m.nrows == m.ncols == len(_row_echelon(m)[1])
 
 
 def kernel_dimension(f):
-    return len(kernel_basis(morphism_matrix(f)))
+    m = morphism_matrix(f)
+    return m.ncols - len(_row_echelon(m)[1])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 import locring as L
 from locring.errors import TooLarge
+from locring.fields import FieldElement
 from locring.poly import Poly
 from locring.verify import (
     ExhaustiveCheckReport,
@@ -21,6 +22,8 @@ F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
 F4 = L.ExtensionField(F2, (1, 1, 1))
+F9 = L.ExtensionField(F3, (1, 0, 1))
+F2t = L.parse_field("F2(t)")
 
 
 def P(field, text):
@@ -29,18 +32,58 @@ def P(field, text):
 
 def mat(field, rows):
     return Matrix(field=field,
-                  rows=tuple(tuple(field.from_int(x) for x in row)
+                  rows=tuple(tuple(field._from_int(x) for x in row)
                              for row in rows))
+
+
+def random_matrix(field, rng):
+    """A matrix of 1..5 rows and columns, about half its entries zero so
+    that rank deficiency is common."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    zero = field._from_int(0)
+    return Matrix(field=field,
+                  rows=tuple(tuple(field.random_payload(rng)
+                                   if rng.random() < 0.5 else zero
+                                   for _ in range(ncols))
+                             for _ in range(nrows)))
 
 
 def mat_vec(m, v):
     """The product m * v, the oracle for kernel vectors."""
-    return [sum((a * x for a, x in zip(row, v)), m.field.zero())
+    return [sum((FieldElement(m.field, a) * x for a, x in zip(row, v)),
+                m.field.zero())
             for row in m.rows]
 
 
 def rank(m):
     return len(_row_echelon(m)[1])
+
+
+def boxed_row_echelon(m):
+    """Reduced row echelon form by ``FieldElement`` arithmetic on whole
+    rows, in the pivot order of ``_row_echelon``: the reference for its
+    payload elimination."""
+    rows = [[FieldElement(m.field, x) for x in row] for row in m.rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()),
+                     None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = m.field.one() / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                g = -rows[i][c]
+                rows[i] = [x + g * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
 
 
 def test_kernel_of_identity_matrix():
@@ -59,21 +102,37 @@ def test_kernel_vectors_map_to_zero():
             nrows = rng.randint(1, 5)
             ncols = rng.randint(1, 5)
             m = Matrix(field=field,
-                       rows=tuple(tuple(field.random_element(rng)
+                       rows=tuple(tuple(field.random_payload(rng)
                                         for _ in range(ncols))
                                   for _ in range(nrows)))
             basis = kernel_basis(m)
             for v in basis:
+                assert all(isinstance(x, FieldElement) for x in v)
                 assert all(x.is_zero() for x in mat_vec(m, v))
             assert rank(m) + len(basis) == ncols
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q, F4, F2t], ids=str)
+def test_row_echelon_matches_boxed_elimination(field):
+    rng = random.Random(1)
+    for _ in range(40):
+        m = random_matrix(field, rng)
+        rows, pivots = _row_echelon(m)
+        ref_rows, ref_pivots = boxed_row_echelon(m)
+        assert pivots == ref_pivots
+        assert [[FieldElement(field, x) for x in row]
+                for row in rows] == ref_rows
+        basis = kernel_basis(m)
+        assert len(basis) == m.ncols - len(pivots)
+        for v in basis:
+            assert all(x.is_zero() for x in mat_vec(m, v))
 
 
 def test_morphism_matrix_identity():
     ring = L.QuotientRing(P(F3, "x^2+1"), 2)
     m = morphism_matrix(L.StabilizingMorphism.identity(ring))
-    for i in range(4):
-        for j in range(4):
-            assert m.rows[i][j] == F3.from_int(1 if i == j else 0)
+    assert m.rows == tuple(tuple(int(i == j) for j in range(4))
+                           for i in range(4))
 
 
 def test_morphism_matrix_cross_f3():
@@ -82,8 +141,7 @@ def test_morphism_matrix_cross_f3():
     f = L.StabilizingMorphism(r1, r2, L.IDENTITY, P(F3, "x+2"))
     m = morphism_matrix(f)
     # columns are f(1) = 1 and f(x) = x+2 in the basis {1, x}
-    assert m.rows == ((F3.from_int(1), F3.from_int(2)),
-                      (F3.from_int(0), F3.from_int(1)))
+    assert m.rows == ((1, 2), (0, 1))
 
 
 def test_morphism_matrix_frobenius_lift():
@@ -117,6 +175,75 @@ def test_morphism_matrix_semilinear_over_f4():
     assert certify_isomorphism(f)
     # cross-check the semilinear matrix against direct evaluation
     assert exhaustive_morphism_check(f).passed
+
+
+def boxed_column(f, s, i, k):
+    """Coordinates of f(s * X^i) by ``StabilizingMorphism.__call__`` on the
+    target's monomials; for k > 1 each coefficient is split into its k
+    prime-field coordinates on 1, a, ..., a^(k-1)."""
+    ring = f.source
+    y = f(ring.element(s) * ring.gen() ** i).rep
+    coeffs = [y.coeff(e) for e in range(f.target.dimension)]
+    if k == 1:
+        return [c.payload for c in coeffs]
+    base = f.target.field.base
+    return [Poly._of(base, c.payload).coeff(t).payload
+            for c in coeffs for t in range(k)]
+
+
+def _lifted(field, p1, p2, n, sigma=L.IDENTITY):
+    return L.lift_morphism(
+        L.find_residue_isomorphisms(P(field, p1), P(field, p2), sigma)[0], n)
+
+
+def _linear_lift(field, p1, p2, q, n):
+    f = L.residue_morphism_from_Q(P(field, p1), P(field, p2), L.IDENTITY,
+                                  P(field, q), assume_irreducible=True)
+    return L.lift_morphism(f, n)
+
+
+def _tower_lift():
+    a = F4.gen()
+    tower = L.ExtensionField(F4, (a, 1, 1), gen="b")
+    p1, p2 = L.enumerate_irreducibles(tower, 2)[:2]
+    return L.lift_morphism(L.find_residue_isomorphisms(p1, p2)[0], 2)
+
+
+LAYOUT_CASES = {
+    "F3-cross": lambda: L.StabilizingMorphism(
+        L.QuotientRing(P(F3, "x^2+1"), 1), L.QuotientRing(P(F3, "x^2+x+2"), 1),
+        L.IDENTITY, P(F3, "x+2")),
+    "F3-lift": lambda: _lifted(F3, "x^2+1", "x^2+x+2", 3),
+    "Q-lift": lambda: _linear_lift(Q, "x^2-2", "x^2-8", "x/2", 3),
+    "F2(t)-lift": lambda: _linear_lift(F2t, "x^2+t", "x^2+t^3", "x/t", 2),
+    "F4-identity": lambda: _lifted(F4, "x^2+x+a", "x^2+x+a", 2),
+    **{f"F4-frob-n{n}": (lambda n=n: _lifted(F4, "x^2+x+a", "x^2+x+a^2", n,
+                                             L.frobenius(1)))
+       for n in (1, 2, 3)},
+    **{f"F9-frob-n{n}": (lambda n=n: _lifted(F9, "x^2+a*x+a", "x^2+x+a", n,
+                                             L.frobenius(1)))
+       for n in (1, 2, 3)},
+    "tower-over-F4": _tower_lift,
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_CASES))
+def test_morphism_matrix_columns_are_images(name):
+    f = LAYOUT_CASES[name]()
+    field = f.source.field
+    m = morphism_matrix(f)
+    twisted = name.startswith(("F4-frob", "F9-frob"))
+    assert (m.field == field.base) if twisted else (m.field == field)
+    # column j*D + i is f(s * X^i), s = a^j twisted and s = 1 otherwise
+    scalars = ([field.gen() ** j for j in range(field.degree)] if twisted
+               else [field.one()])
+    k = len(scalars)
+    d = f.source.dimension
+    columns = list(zip(*m.rows))
+    assert m.nrows == k * f.target.dimension and len(columns) == k * d
+    for j, s in enumerate(scalars):
+        for i in range(d):
+            assert list(columns[j * d + i]) == boxed_column(f, s, i, k)
 
 
 def test_certify_matches_lift_report():
