@@ -153,7 +153,7 @@ def cmd_check(args):
     with open(args.morphism, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # too deeply nested
             raise ParseError(f"{args.morphism} is not valid JSON: {e}") from None
     f = StabilizingMorphism.from_dict(data)
     if not f.source.field.is_finite():

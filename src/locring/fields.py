@@ -13,13 +13,14 @@ is equality of payloads.  Supported fields:
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition and powering, uses the field's own scalar
-ops.  Three fields replace some of its loops: ``PrimeField`` adds,
-multiplies and divides with plain int loops, and ``Rationals`` and
-``RationalFunctionField`` multiply and divide over one common denominator,
-on numerators in Z or F_p[t], normalizing each output coefficient once (a
-divisor whose cleared leading coefficient is not a unit takes the generic
-loop).  ``Poly``, the numerators and denominators of ``F_p(t)`` and the
-elements of ``F_p[x]/(m)`` all run on it.
+ops.  ``PrimeField`` replaces its add, multiply and divide with plain int
+loops, and the fraction fields ``Rationals`` and ``RationalFunctionField``
+share one multiply and one divide over a common denominator, on numerators
+in Z or F_p[t], normalizing each output coefficient once (a divisor whose
+cleared leading coefficient is not a unit takes the generic loop).
+``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
+``F_p[x]/(m)`` all run on it.  ``FieldAutomorphism.on`` alone says how a
+base automorphism acts on payloads.
 
 Fields are immutable and hashable; elements are immutable value objects.
 """
@@ -27,6 +28,7 @@ Fields are immutable and hashable; elements are immutable value objects.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -257,7 +259,58 @@ class Field:
         raise DescriptorMismatch(f"cannot interpret {v!r} as an element of {self}")
 
 
-class Rationals(Field):
+class _FractionField(Field):
+    """The polynomial kernel of a fraction field, Q or F_p(t): operands are
+    cleared to numerators over one common denominator, the loops run in
+    the numerator ring, and each output coefficient is normalized once.
+
+    A subclass supplies ``_clear(a)``, the pair (numerators, den) with
+    ``a[i] = numerators[i] / den``, and the numerator ring: ``_nzero``,
+    ``_nadd``, ``_nmul``, ``_nneg``, ``_unit_inv`` (the inverse of a unit,
+    None for a non-unit) and ``_reduce(n, d)``, the payload of n/d."""
+
+    def _pmul(self, a, b):
+        if not a or not b:
+            return ()
+        add, mul = self._nadd, self._nmul
+        (a, da), (b, db) = self._clear(a), self._clear(b)
+        out = [self._nzero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+        den, reduce = mul(da, db), self._reduce
+        return self._ptrim([reduce(c, den) for c in out])
+
+    def _pdivmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        bn, db = self._clear(b)
+        unit = self._unit_inv(bn[-1])
+        if unit is None:
+            return Field._pdivmod(self, a, b)
+        # scale bn to monic by the unit and db with it; then, with
+        # a = an/da, an = quo*bn + rem in the numerator ring gives
+        # a = (quo*db/da)*b + rem/da
+        add, mul, reduce = self._nadd, self._nmul, self._reduce
+        neg_bn = [self._nneg(mul(c, unit)) for c in bn]
+        db = mul(db, unit)
+        rem, da = self._clear(a)
+        nb = len(bn) - 1
+        quo = [self._nzero] * max(len(rem) - nb, 1)
+        while len(rem) > nb:
+            top = rem.pop()
+            if not top:
+                continue
+            k = len(rem) - nb
+            quo[k] = top
+            for j in range(nb):
+                rem[k + j] = add(rem[k + j], mul(top, neg_bn[j]))
+        return (self._ptrim([reduce(mul(c, db), da) for c in quo]),
+                self._ptrim([reduce(c, da) for c in rem]))
+
+
+class Rationals(_FractionField):
     """The field Q, elements are Fractions."""
 
     char = 0
@@ -295,53 +348,22 @@ class Rationals(Field):
     def random_payload(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    # the polynomial kernel on integer numerators over one common
-    # denominator, normalizing each output coefficient once
+    # the numerator ring Z of the fraction-field kernel
+    _nzero, _reduce = 0, Fraction
+    _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
+
+    @staticmethod
+    def _unit_inv(c):
+        return c if c in (1, -1) else None
+
     @staticmethod
     def _clear(a):
-        """(numerators, den) with a[i] = numerators[i] / den."""
         den = 1
         for c in a:
             d = c.denominator
             if d != 1 and d != den:
                 den = lcm(den, d)
         return [c.numerator * (den // c.denominator) for c in a], den
-
-    def _pmul(self, a, b):
-        if not a or not b:
-            return ()
-        (a, da), (b, db) = self._clear(a), self._clear(b)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        den = da * db
-        return self._ptrim([Fraction(c, den) for c in out])
-
-    def _pdivmod(self, a, b):
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
-        bn, db = self._clear(b)
-        if bn[-1] not in (1, -1):
-            return Field._pdivmod(self, a, b)
-        if bn[-1] == -1:
-            bn, db = [-c for c in bn], -db
-        # with a = an/da and b = bn/db, bn monic over Z, an = quo*bn + rem
-        # over Z gives a = (quo*db/da)*b + rem/da
-        rem, da = self._clear(a)
-        nb = len(bn) - 1
-        quo = [0] * max(len(rem) - nb, 1)
-        while len(rem) > nb:
-            top = rem.pop()
-            if not top:
-                continue
-            k = len(rem) - nb
-            quo[k] = top
-            for j in range(nb):
-                rem[k + j] -= top * bn[j]
-        return (self._ptrim([Fraction(c * db, da) for c in quo]),
-                self._ptrim([Fraction(c, da) for c in rem]))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -452,11 +474,15 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
-class RationalFunctionField(Field):
+class RationalFunctionField(_FractionField):
     """F_p(t): reduced ratios of polynomials over F_p with monic denominator."""
 
+    _nzero = ()
+
     def __init__(self, p, var="t"):
-        self._fp = PrimeField(p)  # numerators and denominators live in F_p[t]
+        # numerators and denominators live in F_p[t]
+        fp = self._fp = PrimeField(p)
+        self._nadd, self._nmul, self._nneg = fp._padd, fp._pmul, fp._pneg
         self.p = p
         self.var = var
         self.char = p
@@ -529,10 +555,12 @@ class RationalFunctionField(Field):
                         for _ in range(rng.randint(1, 3))])
         return self._reduce(num, den)
 
-    # the polynomial kernel on F_p[t] numerators over one common
-    # denominator, normalizing each output coefficient once
+    # the numerator ring F_p[t] of the fraction-field kernel
+    def _unit_inv(self, c):
+        return (self._fp._inv(c[0]),) if len(c) == 1 else None
+
     def _clear(self, a):
-        """(numerators, den) with a[i] = numerators[i] / den, den monic."""
+        # den is monic
         fp = self._fp
         den = (1,)
         for _, d in a:
@@ -541,46 +569,6 @@ class RationalFunctionField(Field):
         return [n if d == den else
                 fp._pmul(n, den if d == (1,) else fp._pdivmod(den, d)[0])
                 for n, d in a], den
-
-    def _pmul(self, a, b):
-        if not a or not b:
-            return ()
-        fp = self._fp
-        (a, da), (b, db) = self._clear(a), self._clear(b)
-        out = [()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = fp._padd(out[i + j], fp._pmul(ai, bj))
-        den = fp._pmul(da, db)
-        return self._ptrim([self._reduce(c, den) for c in out])
-
-    def _pdivmod(self, a, b):
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
-        fp = self._fp
-        bn, db = self._clear(b)
-        if len(bn[-1]) != 1:
-            return Field._pdivmod(self, a, b)
-        # scale bn to monic by the unit bn[-1] and db with it; then, with
-        # a = an/da, an = quo*bn + rem over F_p[t] gives
-        # a = (quo*db/da)*b + rem/da
-        unit = (fp._inv(bn[-1][0]),)
-        neg_bn = [fp._pneg(fp._pmul(c, unit)) for c in bn]
-        db = fp._pmul(db, unit)
-        rem, da = self._clear(a)
-        nb = len(bn) - 1
-        quo = [()] * max(len(rem) - nb, 1)
-        while len(rem) > nb:
-            top = rem.pop()
-            if not top:
-                continue
-            k = len(rem) - nb
-            quo[k] = top
-            for j in range(nb):
-                rem[k + j] = fp._padd(rem[k + j], fp._pmul(top, neg_bn[j]))
-        return (self._ptrim([self._reduce(fp._pmul(c, db), da) for c in quo]),
-                self._ptrim([self._reduce(c, da) for c in rem]))
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunctionField)
@@ -817,18 +805,25 @@ class FieldAutomorphism:
     def is_identity(self):
         return self.power == 0
 
-    def apply(self, a):
+    def on(self, field):
+        """The action c -> sigma(c) on payloads of ``field``, or None where
+        sigma fixes every element (the identity, or any power on F_p)."""
         if self.power == 0:
-            return a
-        f = a.field
-        if not f.is_finite():
+            return None
+        if not field.is_finite():
             raise UnsupportedAutomorphism(
-                f"Frobenius is not an automorphism of {f}")
-        if isinstance(f, PrimeField):
-            return a  # x^p = x on F_p
+                f"Frobenius is not an automorphism of {field}")
+        if isinstance(field, PrimeField):
+            return None  # x^p = x on F_p
         # x^(|f|-1) = 1, so p^e may be reduced mod |f| - 1; this also takes
         # the absolute degree of a tower, not its degree over its base
-        return a ** pow(f.char, self.power, f.order() - 1)
+        e = pow(field.char, self.power, field.order() - 1)
+        one, mul = field._from_int(1), field._mul
+        return lambda c: _power(one, c, e, mul)
+
+    def apply(self, a):
+        act = self.on(a.field)
+        return a if act is None else FieldElement(a.field, act(a.payload))
 
     def compose(self, other):
         """self o other."""

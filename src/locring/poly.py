@@ -237,9 +237,9 @@ def exact_div(a, b):
 
 def apply_automorphism_to_poly(sigma, a):
     """sigma^X: apply a base-field automorphism coefficient-wise, fixing X."""
-    if sigma.is_identity:
-        return a
-    return Poly(a.field, [sigma.apply(c) for c in a.coeffs])
+    act = sigma.on(a.field)
+    # an automorphism sends a nonzero leading coefficient to a nonzero one
+    return a if act is None else Poly._of(a.field, tuple(map(act, a.payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,10 @@ def parse_poly(field, text, var="x"):
     if not text.strip():
         raise ParseError("empty polynomial expression")
     parser = _Parser(field, _tokenize(text), var)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise ParseError("expression nested too deeply") from None
     kind, tok = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting at {tok!r}")

@@ -251,12 +251,13 @@ class StabilizingMorphism:
 
     def _apply(self, x):
         """sigma^X(x)(q) mod the target modulus, on payloads, deg x <= D."""
-        f, sigma = self.target.field, self.sigma
+        f = self.target.field
+        act = self.sigma.on(f)
         acc = ()
         for c, img in zip(x, self.images):
             if not f._is_zero(c):
-                if not sigma.is_identity:
-                    c = sigma.apply(_fields.FieldElement(f, c)).payload
+                if act is not None:
+                    c = act(c)
                 acc = f._padd(acc, f._pmul((c,), img))
         return acc
 
@@ -308,8 +309,8 @@ class StabilizingMorphism:
             "q_image": format_poly(self.q_image),
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data):

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidArgument, TooLarge, UnsupportedAutomorphism
-from .fields import ExtensionField, FieldElement, PrimeField
+from .fields import FieldElement, PrimeField
 from .poly import MAX_TABLE_WORK
 
 
@@ -98,13 +98,12 @@ def morphism_matrix(f):
     q^i (or of f(a^j * X^i) = sigma(a^j) * q^i), read from ``f.images``.
     """
     field = f.source.field
-    twisted = not (f.sigma.is_identity or isinstance(field, PrimeField))
-    if twisted and not (isinstance(field, ExtensionField)
-                        and isinstance(field.base, PrimeField)):
+    act = f.sigma.on(field)  # None: the morphism is linear over field
+    if act and not isinstance(field.base, PrimeField):
         raise UnsupportedAutomorphism(
             f"cannot linearize sigma = {f.sigma.label()} over {field}")
-    k = field.degree if twisted else 1
-    entry_field = field.base if twisted else field
+    k = field.degree if act else 1
+    entry_field = field.base if act else field
     # one row and one column per coordinate over entry_field
     ncols = k * f.source.dimension
     nrows = k * f.target.dimension
@@ -116,7 +115,7 @@ def morphism_matrix(f):
             f"{MAX_TABLE_WORK}")
     images = f.images[:f.source.dimension]
     dim = f.target.dimension
-    if not twisted:
+    if act is None:
         zero = field._from_int(0)
         columns = [img + (zero,) * (dim - len(img)) for img in images]
     else:
@@ -124,7 +123,7 @@ def morphism_matrix(f):
         one = field._from_int(1)
         columns = []
         for j in range(k):
-            s = f.sigma.apply(field.gen() ** j).payload
+            s = act((0,) * j + (1,))  # sigma(a^j)
             for img in images:
                 coeffs = img if s == one else [field._mul(c, s) for c in img]
                 col = [x for c in coeffs for x in c + (0,) * (k - len(c))]

@@ -322,6 +322,48 @@ def test_check_invalid_json_is_input_error(tmp_path, capsys):
     _assert_input_error(code, err)
 
 
+# -- nesting past the interpreter's recursion limit --------------------------
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+DIGITS_F3 = ["digits", "--field", "F3", "--poly", "x^2+1", "--power", "2"]
+
+
+def _assert_one_input_error(code, out, err):
+    _assert_input_error(code, err)
+    assert len(err.splitlines()) == 1 and not out
+
+
+@pytest.mark.parametrize("element", [
+    _nested(300), "-" * 1500 + "x",
+], ids=["parentheses", "minus-signs"])
+def test_deeply_nested_element_is_input_error(capsys, element):
+    code, out, err = run(capsys, *DIGITS_F3, f"--element={element}")
+    _assert_one_input_error(code, out, err)
+    assert "nested too deeply" in err
+
+
+def test_nesting_that_parsed_before_still_parses(capsys):
+    expected = run(capsys, *DIGITS_F3, "--element", "x")
+    assert expected[0] == 0
+    assert run(capsys, *DIGITS_F3, "--element", _nested(150)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"source": {"field": "F3", "p": _nested(300), "n": 1},
+                "target": {"field": "F3", "p": "x^2+1", "n": 1},
+                "sigma": "id", "q_image": "x"}),
+    "[" * 100000,
+], ids=["nested-modulus", "nested-json"])
+def test_check_deeply_nested_input_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--morphism", str(path))
+    _assert_one_input_error(code, out, err)
+
+
 # -- input errors in the other commands ---------------------------------------
 
 LIFT = ["lift", "--field", "F3", "--p1", "x^2+1", "--p2", "x^2+x+2"]

@@ -113,6 +113,32 @@ def test_frobenius_is_a_field_morphism(field):
         assert frob.apply(a * b) == frob.apply(a) * frob.apply(b)
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [
+    F4, L.ExtensionField(F3, (1, 0, 1)),
+    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+], ids=repr)
+def test_frobenius_action_matches_boxed_powering(field, e):
+    # the reference raises to p^e itself, with no reduction of the exponent
+    act = L.frobenius(e).on(field)
+    coeffs = list(field.elements())  # zero first, nonzero last
+    expected = tuple((c ** field.char ** e).payload for c in coeffs)
+    assert tuple(act(c.payload) for c in coeffs) == expected
+    shifted = L.apply_automorphism_to_poly(L.frobenius(e), L.Poly(field, coeffs))
+    assert shifted.payload == expected == field._ptrim(expected)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_frobenius_action_is_none_or_refused(field):
+    assert L.IDENTITY.on(field) is None
+    for e in range(1, 5):
+        if field in (F2, F3):
+            assert L.frobenius(e).on(field) is None
+        elif not field.is_finite():
+            with pytest.raises(UnsupportedAutomorphism):
+                L.frobenius(e).on(field)
+
+
 def test_frobenius_iteration():
     # frob^e applied k times equals frob^(e*k)
     rng = random.Random(5)
