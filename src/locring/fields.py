@@ -3,7 +3,8 @@
 Every element is stored in a canonical reduced form, so equality of elements
 is equality of payloads.  Supported fields:
 
-  * ``Rationals()``            -- payload: ``fractions.Fraction``
+  * ``Rationals()``            -- payload: reduced int pair (numerator,
+    denominator), denominator positive; a ``Fraction`` is read as input
   * ``PrimeField(p)``          -- payload: int in ``[0, p)``
   * ``RationalFunctionField(p, var)`` -- payload: pair of int-coefficient
     polynomial tuples (numerator, denominator), denominator monic, coprime
@@ -14,10 +15,11 @@ Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition and powering, uses the field's own scalar
 ops.  ``PrimeField`` replaces its add, multiply and divide with plain int
-loops, and the fraction fields ``Rationals`` and ``RationalFunctionField``
-share one multiply and one divide over a common denominator, on numerators
-in Z or F_p[t], normalizing each output coefficient once (a divisor whose
-cleared leading coefficient is not a unit takes the generic loop).
+loops.  The fraction fields ``Rationals`` and ``RationalFunctionField`` share
+their scalar ops, on pairs over Z or F_p[t], and one multiply and one divide
+over a common denominator, normalizing each output coefficient once (a
+divisor whose cleared leading coefficient is not a unit takes the generic
+loop).
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
 ``F_p[x]/(m)`` all run on it.  ``FieldAutomorphism.on`` alone says how a
 base automorphism acts on payloads.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -260,14 +262,46 @@ class Field:
 
 
 class _FractionField(Field):
-    """The polynomial kernel of a fraction field, Q or F_p(t): operands are
-    cleared to numerators over one common denominator, the loops run in
-    the numerator ring, and each output coefficient is normalized once.
+    """A fraction field, Q or F_p(t): an element is a reduced pair
+    (numerator, denominator) over the numerator ring Z or F_p[t], and
+    polynomial operands are cleared to numerators over one common
+    denominator, so the kernel loops run in the numerator ring and each
+    output coefficient is normalized once.
 
-    A subclass supplies ``_clear(a)``, the pair (numerators, den) with
-    ``a[i] = numerators[i] / den``, and the numerator ring: ``_nzero``,
-    ``_nadd``, ``_nmul``, ``_nneg``, ``_unit_inv`` (the inverse of a unit,
-    None for a non-unit) and ``_reduce(n, d)``, the payload of n/d."""
+    A subclass supplies the numerator ring: ``_nzero``, ``_none``,
+    ``_nadd``, ``_nmul``, ``_nneg``, ``_ndiv`` (exact division), ``_nlcm``,
+    ``_unit_inv`` (the inverse of a unit, None for a non-unit) and
+    ``_reduce(n, d)``, the payload of n/d."""
+
+    def _add(self, a, b):
+        mul = self._nmul
+        return self._reduce(self._nadd(mul(a[0], b[1]), mul(b[0], a[1])),
+                            mul(a[1], b[1]))
+
+    def _neg(self, a):
+        return (self._nneg(a[0]), a[1])
+
+    def _mul(self, a, b):
+        return self._reduce(self._nmul(a[0], b[0]), self._nmul(a[1], b[1]))
+
+    def _inv(self, a):
+        if not a[0]:
+            raise DivisionByZero(f"1/0 in {self}")
+        return self._reduce(a[1], a[0])
+
+    def _is_zero(self, a):
+        return not a[0]
+
+    def _clear(self, a):
+        """(numerators, den) with a[i] = numerators[i] / den."""
+        one = self._none
+        den = one
+        for _, d in a:
+            if d != one and d != den:
+                den = self._nlcm(den, d)
+        mul, div = self._nmul, self._ndiv
+        return [n if d == den else mul(n, den if d == one else div(den, d))
+                for n, d in a], den
 
     def _pmul(self, a, b):
         if not a or not b:
@@ -311,59 +345,48 @@ class _FractionField(Field):
 
 
 class Rationals(_FractionField):
-    """The field Q, elements are Fractions."""
+    """The field Q, elements are reduced int pairs (n, d) with d > 0."""
 
     char = 0
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _inv(self, a):
-        if a == 0:
-            raise DivisionByZero("1/0 in Q")
-        return 1 / a
-
-    def _canon(self, a):
-        return Fraction(a)
-
-    def _from_int(self, k):
-        return Fraction(k)
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def format_payload(self, a):
-        try:
-            return str(a)
-        except ValueError:  # Python's limit on int-to-string conversion
-            raise InvalidArgument("rational too long to print: past the "
-                                  "4,300-digit limit on integers") from None
-
-    def random_payload(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    # the numerator ring Z of the fraction-field kernel
-    _nzero, _reduce = 0, Fraction
+    # the numerator ring Z
+    _nzero, _none, _nlcm = 0, 1, lcm
     _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
+    _ndiv = operator.floordiv
 
     @staticmethod
     def _unit_inv(c):
         return c if c in (1, -1) else None
 
     @staticmethod
-    def _clear(a):
-        den = 1
-        for c in a:
-            d = c.denominator
-            if d != 1 and d != den:
-                den = lcm(den, d)
-        return [c.numerator * (den // c.denominator) for c in a], den
+    def _reduce(n, d):
+        if d == 1:
+            return (n, 1)
+        if not d:
+            raise DivisionByZero("zero denominator in Q")
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        return (n // g, d // g)
+
+    def _canon(self, a):
+        # a pair of ints, or any input Fraction reads: an int, a Fraction
+        if isinstance(a, tuple):
+            return self._reduce(*map(operator.index, a))
+        a = Fraction(a)
+        return (a.numerator, a.denominator)
+
+    def _from_int(self, k):
+        return (k, 1)
+
+    def format_payload(self, a):
+        n, d = a
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:  # Python's limit on int-to-string conversion
+            raise InvalidArgument("rational too long to print: past the "
+                                  "4,300-digit limit on integers") from None
+
+    def random_payload(self, rng):
+        return self._reduce(rng.randint(-9, 9), rng.randint(1, 9))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -477,7 +500,8 @@ class PrimeField(Field):
 class RationalFunctionField(_FractionField):
     """F_p(t): reduced ratios of polynomials over F_p with monic denominator."""
 
-    _nzero = ()
+    # the numerator ring F_p[t]
+    _nzero, _none = (), (1,)
 
     def __init__(self, p, var="t"):
         # numerators and denominators live in F_p[t]
@@ -508,23 +532,6 @@ class RationalFunctionField(_FractionField):
         unit = (fp._inv(den[-1]),)
         return (fp._pmul(num, unit), fp._pmul(den, unit))
 
-    def _add(self, a, b):
-        fp = self._fp
-        num = fp._padd(fp._pmul(a[0], b[1]), fp._pmul(b[0], a[1]))
-        return self._reduce(num, fp._pmul(a[1], b[1]))
-
-    def _neg(self, a):
-        return (self._fp._pneg(a[0]), a[1])
-
-    def _mul(self, a, b):
-        fp = self._fp
-        return self._reduce(fp._pmul(a[0], b[0]), fp._pmul(a[1], b[1]))
-
-    def _inv(self, a):
-        if not a[0]:
-            raise DivisionByZero(f"1/0 in {self}")
-        return self._reduce(a[1], a[0])
-
     def _canon(self, a):
         num, den = a
         return self._reduce(self._fp._ptrim([c % self.p for c in num]),
@@ -533,9 +540,6 @@ class RationalFunctionField(_FractionField):
     def _from_int(self, k):
         k %= self.p
         return ((k,) if k else (), (1,))
-
-    def _is_zero(self, a):
-        return not a[0]
 
     def format_payload(self, a):
         from .poly import Poly, _needs_parens, format_poly
@@ -555,20 +559,16 @@ class RationalFunctionField(_FractionField):
                         for _ in range(rng.randint(1, 3))])
         return self._reduce(num, den)
 
-    # the numerator ring F_p[t] of the fraction-field kernel
     def _unit_inv(self, c):
         return (self._fp._inv(c[0]),) if len(c) == 1 else None
 
-    def _clear(self, a):
-        # den is monic
+    def _ndiv(self, a, b):
+        return self._fp._pdivmod(a, b)[0]
+
+    def _nlcm(self, a, b):
+        # of monic a and b, so monic
         fp = self._fp
-        den = (1,)
-        for _, d in a:
-            if d != (1,) and d != den:
-                den = fp._pmul(den, fp._pdivmod(d, fp._pgcd(den, d))[0])
-        return [n if d == den else
-                fp._pmul(n, den if d == (1,) else fp._pdivmod(den, d)[0])
-                for n, d in a], den
+        return fp._pmul(a, fp._pdivmod(b, fp._pgcd(a, b))[0])
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunctionField)
@@ -634,10 +634,10 @@ class ExtensionField(Field):
         return self.base._pgcdex(self._m, a)[2]
 
     def _canon(self, a):
-        # a coordinate is an int, a base element or, in a tower, a payload
+        # a coordinate is an int, a base element or a base payload that is a
+        # tuple: a Q pair, or an element of the base of a tower
         base = self.base
-        tower = isinstance(base, ExtensionField)
-        return base._pdivmod([base._canon(c) if tower and isinstance(c, tuple)
+        return base._pdivmod([base._canon(c) if isinstance(c, tuple)
                               else base.coerce(c).payload for c in a],
                              self._m)[1]
 
@@ -807,17 +807,20 @@ class FieldAutomorphism:
 
     def on(self, field):
         """The action c -> sigma(c) on payloads of ``field``, or None where
-        sigma fixes every element (the identity, or any power on F_p)."""
+        sigma fixes every element: the identity, any power on F_p, and
+        frob^e on F_{p^k} when k divides e."""
         if self.power == 0:
             return None
         if not field.is_finite():
             raise UnsupportedAutomorphism(
                 f"Frobenius is not an automorphism of {field}")
-        if isinstance(field, PrimeField):
-            return None  # x^p = x on F_p
         # x^(|f|-1) = 1, so p^e may be reduced mod |f| - 1; this also takes
-        # the absolute degree of a tower, not its degree over its base
-        e = pow(field.char, self.power, field.order() - 1)
+        # the absolute degree of a tower, not its degree over its base, and
+        # a reduced exponent of 1 (every power on F_p) fixes the field
+        units = field.order() - 1
+        e = pow(field.char, self.power, units)
+        if e == 1 % units:
+            return None
         one, mul = field._from_int(1), field._mul
         return lambda c: _power(one, c, e, mul)
 

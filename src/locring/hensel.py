@@ -47,12 +47,17 @@ class RootSeries:
         return self.p.compose(self.u) - self.r_cert * self.p ** self.k
 
 
-def check_separable(p):
-    """P', raising NotSeparable when it is zero."""
+def derivative_inverse(p):
+    """(P')^(-1) mod P, raising NotSeparable when P' = 0 and NotIrreducible
+    when gcd(P, P') != 1."""
     dp = p.derivative()
     if dp.is_zero():
         raise NotSeparable(f"{format_poly(p)} has zero derivative")
-    return dp
+    g, inv, _ = ext_gcd(dp, p)
+    if g.degree != 0:
+        raise NotIrreducible(f"{format_poly(p)} is not squarefree: "
+                             f"gcd(P, P') = {format_poly(g)}")
+    return inv
 
 
 @functools.lru_cache(maxsize=128)
@@ -66,13 +71,9 @@ def hensel_root_series(p, k):
     check_power(p, k)
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("base polynomial must be monic of degree >= 1")
-    dp = check_separable(p)
-    # U = X mod P throughout (Q_0 = 0), so P' o U = P' mod P and one Bezout
+    # U = X mod P throughout (Q_0 = 0), so P' o U = P' mod P and one
     # inverse serves every step
-    g, inv_dp, _ = ext_gcd(dp, p)
-    if g.degree != 0:
-        raise NotIrreducible(f"{format_poly(p)} is not squarefree: "
-                             f"gcd(P, P') = {format_poly(g)}")
+    inv_dp = derivative_inverse(p)
     u = Poly.x(p.field)
     r = Poly.one(p.field)
     q_list = []

@@ -27,13 +27,8 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import IDENTITY, ExtensionField, FieldElement
-from .hensel import check_separable, from_digits, to_digits, ResidueDigits
-from .poly import (
-    Poly,
-    apply_automorphism_to_poly,
-    format_poly,
-    gcd,
-)
+from .hensel import derivative_inverse
+from .poly import Poly, apply_automorphism_to_poly, format_poly, gcd
 from .quotient import QuotientRing, StabilizingMorphism
 
 
@@ -308,18 +303,6 @@ def pick_residue_morphism(candidates, n):
     return candidates[0] if candidates else None
 
 
-def _digit_transport_isomorphism(f, n):
-    # Route through the digit decompositions of both sides: the composite
-    # K[X]/(P1^n) ~ (K[X]/(P1))[Y]/(Y^n) ~ (K[X]/(P2))[Y]/(Y^n) ~ K[X]/(P2^n)
-    # is determined by where it sends the class of X.
-    source = f.source.at_power(n)
-    target = f.target.at_power(n)
-    digits = to_digits(source.gen())
-    moved = ResidueDigits(ring=target,
-                          digits=tuple(f(d) for d in digits.digits))
-    return StabilizingMorphism(source, target, f.sigma, from_digits(moved).rep)
-
-
 def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
                                residue_morphism=None,
                                assume_irreducible=False):
@@ -330,12 +313,16 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     agree; over other fields a residue morphism must be supplied by the
     caller, except at degree 1, where the one residue morphism sends X to
     sigma(c1), c1 the root of P1.  A residue morphism whose lift criterion
-    holds is lifted directly; if every candidate has Q_f' = 0 (always so at
-    degree 1), the isomorphism is routed through the digit decompositions
-    of both sides instead.
+    holds is lifted directly.  If every candidate has Q_f' = 0 (always so at
+    degree 1), the first one is corrected to the X-image Q = Q_f + V*P2,
+    V = (1 - Q_f') / P2' mod P2: Q = Q_f mod P2, so Q induces the same
+    residue morphism and is an X-image at every n, and Q' = 1 mod P2, so
+    its lift is an isomorphism.  At degree 1 that is X + sigma(c1) - c2,
+    c2 the root of P2.  Raises NotSeparable or NotIrreducible when P1 or P2
+    is not separable or not squarefree.
     """
-    check_separable(p1)
-    check_separable(p2)
+    derivative_inverse(p1)
+    derivative_inverse(p2)
     if n < 1:
         raise InvalidArgument("power must be >= 1")
     if p1.degree != p2.degree:
@@ -354,4 +341,8 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         return None
     if lift_is_isomorphism(f, n).verdict:
         return lift_morphism(f, n)
-    return _digit_transport_isomorphism(f, n)
+    p = f.target.p
+    q_f = f.q_image % p
+    v = (1 - q_f.derivative()) * derivative_inverse(p) % p
+    return StabilizingMorphism(f.source.at_power(n), f.target.at_power(n),
+                               f.sigma, q_f + v * p)

@@ -1,10 +1,10 @@
 """Independent oracles for constructed morphisms: exact matrices, kernels,
 and exhaustive morphism-law checks on small rings.
 
-A morphism between quotient rings is linear over the base field when its
-base automorphism is the identity (or acts trivially, as on prime fields);
-a genuine Frobenius twist over an extension field is verified over the
-prime subfield, where it becomes linear.
+A morphism between quotient rings is linear over the base field K when its
+base automorphism fixes K (the identity, any power on a prime field, frob^e
+on F_{p^k} when k divides e); one that moves some element of K is verified
+over the prime subfield, where it becomes linear.
 
 A :class:`Matrix` holds payloads of its field, not ``FieldElement``s: its
 columns are read from the morphism's stored table of powers, elimination
@@ -92,10 +92,11 @@ def _row_echelon(m):
 def morphism_matrix(f):
     """Matrix of the morphism on the monomial basis of the source.
 
-    Linear morphisms give a matrix over the base field K; Frobenius-twisted
-    morphisms over an extension of F_p give a matrix over F_p on the basis
-    a^j * X^i.  Column i (or j*D + i) holds the coordinates of f(X^i) =
-    q^i (or of f(a^j * X^i) = sigma(a^j) * q^i), read from ``f.images``.
+    A morphism whose sigma fixes the base field K gives a matrix over K; one
+    whose sigma moves some element of K, an extension of F_p, gives a matrix
+    over F_p on the basis a^j * X^i, so its kernel dimension is over F_p.
+    Column i (or j*D + i) holds the coordinates of f(X^i) = q^i (or of
+    f(a^j * X^i) = sigma(a^j) * q^i), read from ``f.images``.
     """
     field = f.source.field
     act = f.sigma.on(field)  # None: the morphism is linear over field

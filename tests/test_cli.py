@@ -254,6 +254,25 @@ def test_check_noninjective_morphism(tmp_path, capsys):
     assert "isomorphism: False" in out
 
 
+def test_check_frobenius_fixing_the_field_reads_as_identity(tmp_path, capsys):
+    # frob^2 fixes F4, so that morphism is F4-linear like the identity's and
+    # check gives its kernel over F4; frob moves F4, so its kernel is over F2
+    out = {}
+    for sigma in ("id", "frob^2", "frob"):
+        code, text, _ = run(capsys, "lift", "--field", "F2[x]/(x^2+x+1)",
+                            "--p1", "x+a", "--p2", "x+a", "--sigma", sigma,
+                            "--power", "3", "--json")
+        assert code == 0
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(json.loads(text)["morphism"]),
+                        encoding="utf-8")
+        code, out[sigma], _ = run(capsys, "check", "--morphism", str(path))
+        assert code == 0
+    assert out["frob^2"] == out["id"]
+    assert "kernel dimension: 2\n" in out["id"]
+    assert "kernel dimension: 4\n" in out["frob"]
+
+
 def test_assumed_irreducibility_is_noted_on_stderr(tmp_path, capsys):
     note = ("note: irreducibility of x^2-1 over Q is assumed, "
             "not verified\n")

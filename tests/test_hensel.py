@@ -18,7 +18,7 @@ F3 = L.PrimeField(3)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
 F4 = L.ExtensionField(F2, (1, 1, 1))
-# coefficient payloads: Fractions, pairs of tuples and nested tuples
+# coefficient payloads: int pairs, pairs of tuples and nested tuples
 PAYLOAD_KINDS = [(Q, "x^2-2"), (F2T, "x^2+x+t"), (F4, "x^2+x+a")]
 
 

@@ -396,8 +396,8 @@ def _linear_pairs(field):
     (F9, L.IDENTITY), (F4, L.frobenius(1)),
 ], ids=["F2", "F3", "F5", "F4", "F9", "F4-frob"])
 def test_rings_isomorphic_degree_one_shifts(field, sigma):
-    # P_i = X - c_i; the digit transport gives X -> X + sigma(c1) - c2, which
-    # is X + (a2 - a1) for sigma = id
+    # P_i = X - c_i; the corrected lift gives X -> X + sigma(c1) - c2, which
+    # is X + (c1 - c2) for sigma = id
     for (p1, p2), n in itertools.product(_linear_pairs(field), range(1, 5)):
         c1, c2 = -p1.coeff(0), -p2.coeff(0)
         iso = L.rings_isomorphic_separable(p1, p2, n, sigma=sigma)
@@ -417,7 +417,7 @@ def test_rings_isomorphic_degree_one_over_q():
 @pytest.mark.parametrize("n", [2, 3])
 def test_rings_isomorphic_digit_transport_fallback(n):
     # Q_f = X^2 has Q_f' = 0, so its lift is not injective and the
-    # isomorphism is routed through the digit decompositions instead
+    # isomorphism sends X to Q_f + V*P2 with Q' = 1 mod P2 instead
     f = frob_f2()
     p = f.source.p
     assert not L.lift_is_isomorphism(f, n).verdict
@@ -426,6 +426,42 @@ def test_rings_isomorphic_digit_transport_fallback(n):
     assert iso.source.n == iso.target.n == n
     assert L.certify_isomorphism(iso)
     assert L.induced_residue_morphism(iso) == f
+
+
+def _corrected_lift_cases():
+    for field, degree in ((F2, 3), (F2, 4)):
+        irreducibles = L.enumerate_irreducibles(field, degree)
+        yield from itertools.product(irreducibles, repeat=2)
+    pairs = list(itertools.product(L.enumerate_irreducibles(F3, 4), repeat=2))
+    yield from random.Random(4).sample(pairs, 20)
+
+
+def test_rings_isomorphic_corrects_every_residue_morphism(deadline):
+    # these degrees have residue morphisms with Q_f in F_p[X^p], whose plain
+    # lift is not injective
+    fallbacks = 0
+    with deadline(2):
+        for (p1, p2), n in itertools.product(_corrected_lift_cases(), (2, 3)):
+            for f in L.find_residue_isomorphisms(p1, p2):
+                iso = L.rings_isomorphic_separable(p1, p2, n,
+                                                   residue_morphism=f)
+                assert L.certify_isomorphism(iso)
+                assert L.induced_residue_morphism(iso) == f
+                if L.lift_is_isomorphism(f, n).verdict:
+                    assert iso == L.lift_morphism(f, n)
+                else:
+                    fallbacks += 1
+                    assert iso.q_image.derivative() % p2 == Poly.one(p2.field)
+    assert fallbacks > 0
+
+
+def test_rings_isomorphic_not_squarefree_over_q_raises():
+    p = P(Q, "x^2+2*x+1")
+    f = L.StabilizingMorphism.identity(
+        L.QuotientRing(p, 1, assume_irreducible=True))
+    with pytest.raises(NotIrreducible):
+        L.rings_isomorphic_separable(p, p, 2, residue_morphism=f,
+                                     assume_irreducible=True)
 
 
 def test_rings_isomorphic_inseparable_raises():

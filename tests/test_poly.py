@@ -119,7 +119,7 @@ FRACTION_KERNEL_CASES = {
 
 def _integral(field, rng):
     if field == Q:
-        return Fraction(rng.randint(-5, 5))
+        return Q._from_int(rng.randint(-5, 5))
     return field._canon(([rng.randrange(field.p) for _ in range(3)], (1,)))
 
 
