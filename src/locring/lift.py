@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgument,
     NotAMorphism,
     NotWellDefined,
+    RingMismatch,
     UnsupportedField,
 )
 from .fields import IDENTITY, ExtensionField, FieldElement
@@ -312,19 +313,24 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     Over finite fields the residue fields are isomorphic iff the degrees
     agree; over other fields a residue morphism must be supplied by the
     caller, except at degree 1, where the one residue morphism sends X to
-    sigma(c1), c1 the root of P1.  A residue morphism whose lift criterion
-    holds is lifted directly.  If every candidate has Q_f' = 0 (always so at
-    degree 1), the first one is corrected to the X-image Q = Q_f + V*P2,
-    V = (1 - Q_f') / P2' mod P2: Q = Q_f mod P2, so Q induces the same
-    residue morphism and is an X-image at every n, and Q' = 1 mod P2, so
-    its lift is an isomorphism.  At degree 1 that is X + sigma(c1) - c2,
-    c2 the root of P2.  Raises NotSeparable or NotIrreducible when P1 or P2
-    is not separable or not squarefree.
+    sigma(c1), c1 the root of P1; a supplied one must run from K[X]/(P1) to
+    K[X]/(P2) (RingMismatch otherwise).  A residue morphism whose lift
+    criterion holds is lifted directly.  If every candidate has Q_f' = 0
+    (always so at degree 1), the first one is corrected to the X-image
+    Q = Q_f + V*P2, V = (1 - Q_f') / P2' mod P2: Q = Q_f mod P2, so Q
+    induces the same residue morphism and is an X-image at every n, and
+    Q' = 1 mod P2, so its lift is an isomorphism.  At degree 1 that is
+    X + sigma(c1) - c2, c2 the root of P2.  Raises NotSeparable or
+    NotIrreducible when P1 or P2 is not separable or not squarefree.
     """
     derivative_inverse(p1)
     derivative_inverse(p2)
     if n < 1:
         raise InvalidArgument("power must be >= 1")
+    if residue_morphism is not None and (residue_morphism.source.p != p1
+                                         or residue_morphism.target.p != p2):
+        raise RingMismatch(f"{residue_morphism} is not a residue morphism "
+                           f"from P1 = {p1} to P2 = {p2}")
     if p1.degree != p2.degree:
         return None
     if residue_morphism is not None:

@@ -242,6 +242,23 @@ def test_check_valid_morphism_file(tmp_path, capsys):
     assert "isomorphism: True" in out
 
 
+def test_check_proves_the_law_on_a_729_element_ring(tmp_path, capsys,
+                                                   deadline):
+    # the law holds on all 729^2 pairs, shown from 729 * 6 of them
+    code, text, _ = run(capsys, "lift", "--field", "F3", "--p1", "x^3+2*x+1",
+                        "--p2", "x^3+2*x+2", "--power", "2", "--json")
+    assert code == 0
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(json.loads(text)["morphism"]),
+                    encoding="utf-8")
+    with deadline(5):
+        code, out, _ = run(capsys, "check", "--morphism", str(path))
+    assert code == 0
+    assert out.splitlines() == ["certificate: ok",
+                                "morphism law: ok (531441 pairs)",
+                                "kernel dimension: 0", "isomorphism: True"]
+
+
 def test_check_noninjective_morphism(tmp_path, capsys):
     F2 = L.PrimeField(2)
     p = parse_poly(F2, "x^3+x+1")

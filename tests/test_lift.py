@@ -11,6 +11,7 @@ from locring.errors import (
     NotAMorphism,
     NotIrreducible,
     NotSeparable,
+    RingMismatch,
     UnsupportedField,
 )
 from locring.lift import kernel_witness
@@ -453,6 +454,16 @@ def test_rings_isomorphic_corrects_every_residue_morphism(deadline):
                     fallbacks += 1
                     assert iso.q_image.derivative() % p2 == Poly.one(p2.field)
     assert fallbacks > 0
+
+
+def test_rings_isomorphic_rejects_residue_morphism_between_other_rings():
+    p1, p2 = P(F3, "x^2+1"), P(F3, "x^2+x+2")
+    self_map = L.find_residue_isomorphisms(p1, p1)[0]
+    with pytest.raises(RingMismatch):
+        L.rings_isomorphic_separable(p1, p2, 2, residue_morphism=self_map)
+    cross = L.find_residue_isomorphisms(p1, p2)[0]
+    with pytest.raises(RingMismatch):
+        L.rings_isomorphic_separable(p2, p1, 2, residue_morphism=cross)
 
 
 def test_rings_isomorphic_not_squarefree_over_q_raises():

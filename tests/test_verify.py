@@ -15,6 +15,7 @@ from locring.verify import (
     kernel_basis,
     kernel_dimension,
     morphism_matrix,
+    _prime_basis,
     _row_echelon,
 )
 
@@ -23,6 +24,7 @@ F3 = L.PrimeField(3)
 Q = L.Rationals()
 F4 = L.ExtensionField(F2, (1, 1, 1))
 F9 = L.ExtensionField(F3, (1, 0, 1))
+TOWER = L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b")
 F2t = L.parse_field("F2(t)")
 
 
@@ -203,9 +205,7 @@ def _linear_lift(field, p1, p2, q, n):
 
 
 def _tower_lift():
-    a = F4.gen()
-    tower = L.ExtensionField(F4, (a, 1, 1), gen="b")
-    p1, p2 = L.enumerate_irreducibles(tower, 2)[:2]
+    p1, p2 = L.enumerate_irreducibles(TOWER, 2)[:2]
     return L.lift_morphism(L.find_residue_isomorphisms(p1, p2)[0], 2)
 
 
@@ -316,6 +316,24 @@ class CoefficientOfX:
         return self.target.element(a.rep.coeff(1))
 
 
+class PrimeCoordinate:
+    """c -> c0 on a ring R = K[x]/(x + r) = K, c0 the first F_p-coordinate
+    of c (of c0 + c1*a on F4): additive, and multiplicative on (c, 1) for
+    every c, but not on (a, a), since a^2 = a + 1 in F4.  It passes the law
+    on R x {1}, {1} a basis over K, so it shows that the check needs a
+    basis over F_p."""
+
+    def __init__(self, field, root):
+        self.source = self.target = L.QuotientRing(
+            Poly(field, (root, field.one())), 1)
+
+    def __call__(self, c):
+        x = c.rep.payload
+        while isinstance(x, tuple):  # the constant term, then its c0
+            x = x[0] if x else 0
+        return self.target.element(x)
+
+
 def _frobenius_lift_over_f4():
     shift = F4.gen() - L.frobenius(1).apply(F4.gen())
     residue = L.find_residue_isomorphisms(Poly(F4, (F4.gen(), F4.one())),
@@ -348,6 +366,10 @@ LAW_CASES = {
     "corrupted": corrupted_embedding,
     "not-additive": OneToZero,
     "not-multiplicative": CoefficientOfX,
+    "prime-coordinate-F4": lambda: PrimeCoordinate(F4, F4.gen()),
+    "prime-coordinate-tower": lambda: PrimeCoordinate(TOWER, TOWER.gen()),
+    "lift-tower": lambda: L.rings_isomorphic_separable(
+        P(TOWER, "x+b"), P(TOWER, "x+1"), 1),
 }
 
 
@@ -360,7 +382,10 @@ def test_exhaustive_check_matches_objectwise_loop(name):
         ring = f.source
         op = "add" if name == "not-additive" else "mul"
         assert report.witness == (ring.gen(), ring.one(), op)
-    elif name == "corrupted":
+    elif name == "prime-coordinate-F4":
+        a = f.source.element(F4.gen())
+        assert report.witness == (a, a, "mul")
+    elif name in ("corrupted", "prime-coordinate-tower"):
         assert report.witness[2] == "mul"
     else:
         assert report.passed
@@ -383,6 +408,22 @@ def test_exhaustive_check_detects_corruption():
 def test_exhaustive_check_identity():
     ring = L.QuotientRing(P(F3, "x^2+1"), 1)
     assert exhaustive_morphism_check(L.StabilizingMorphism.identity(ring)).passed
+
+
+@pytest.mark.parametrize("field, modulus, n", [
+    (F2, "x^2+x+1", 2), (F3, "x^2+1", 1), (F4, "x+a", 2), (F9, "x+a", 1),
+    (TOWER, "x+b", 1),
+], ids=str)
+def test_prime_basis_is_a_basis_of_the_ring_over_the_prime_field(field,
+                                                                 modulus, n):
+    ring = L.QuotientRing(P(field, modulus), n)
+    basis = [ring.element(Poly._of(field, y))
+             for y in _prime_basis(field, ring.dimension)]
+    assert field.char ** len(basis) == ring.order()
+    span = {sum((c * e for c, e in zip(cs, basis)), ring.zero())
+            for cs in itertools.product(range(field.char),
+                                        repeat=len(basis))}
+    assert span == set(ring.elements())
 
 
 def test_exhaustive_check_too_large():
