@@ -241,6 +241,78 @@ def test_extension_inverse_exhaustive():
             assert a * a ** (-1) == F4.one()
 
 
+F9 = L.ExtensionField(F3, (1, 0, 1))
+TABLE_FIELDS = [
+    F4,
+    L.ExtensionField(F2, (1, 1, 0, 1)),                 # F8
+    F9,
+    L.ExtensionField(F2, (1, 1, 0, 0, 1)),              # F16
+    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),    # F16 over F4
+    L.ExtensionField(L.PrimeField(5), (2, 0, 1)),       # F25
+    L.ExtensionField(F3, (1, 2, 0, 1)),                 # F27
+    L.ExtensionField(F2, (1, 0, 1, 0, 0, 1)),           # F32
+]
+POLY_PATH_FIELDS = [
+    L.ExtensionField(F2, (1, 1, 0, 0, 0, 0, 1)),        # F64
+    L.ExtensionField(F9, (F9.gen(), 1, 1), gen="b"),    # F81 over F9
+]
+
+
+def _kernel_mul(field, a, b):
+    base = field.base
+    return base._pdivmod(base._pmul(a, b), field._m)[1]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_log_zech_tables_match_the_polynomial_kernel(field):
+    assert field.order() <= 32 and "_mul" in vars(field)  # tables built
+    elems = list(field.elements())
+    payloads = [c.payload for c in elems]
+    for a in payloads:
+        for b in payloads:
+            assert field._mul(a, b) == _kernel_mul(field, a, b)
+            assert field._add(a, b) == field.base._padd(a, b)
+    one = field.one()
+    assert all(u * u ** -1 == one for u in elems if u)
+    with pytest.raises(DivisionByZero):
+        field.zero() ** -1
+    act = L.frobenius(1).on(field)
+    assert [act(c.payload) for c in elems] == \
+        [(c ** field.char).payload for c in elems]
+
+
+@pytest.mark.parametrize("field", POLY_PATH_FIELDS, ids=repr)
+def test_fields_above_the_table_bound_keep_the_polynomial_path(field):
+    assert field.order() > 32 and "_mul" not in vars(field)
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = field.random_payload(rng), field.random_payload(rng)
+        assert field._mul(a, b) == _kernel_mul(field, a, b)
+        if a:
+            assert field._mul(a, field._inv(a)) == field._from_int(1)
+
+
+def test_reducible_modulus_without_a_generator_is_refused():
+    # (x+1)^2: the ring F2[x]/(x^2+1) has a zero divisor, so no element
+    # generates its units
+    with pytest.raises(NotIrreducible):
+        L.ExtensionField(F2, (1, 0, 1), assume_irreducible=True)
+
+
+def test_inverse_of_a_zero_divisor_names_the_common_factor():
+    # under a false irreducibility assertion the Bezout cofactor is no
+    # inverse: gcd(m, a) is the factor the two share
+    ring = L.ExtensionField(Q, (-4, 0, 1), assume_irreducible=True)
+    with pytest.raises(NotIrreducible, match="a-2"):
+        (ring.gen() - 2) ** -1
+    # m = (x^3+x+1)(x^3+x^2+1), of order 64 and so above the table bound
+    m = L.Poly(F2, (1, 1, 0, 1)) * L.Poly(F2, (1, 0, 1, 1))
+    ring = L.ExtensionField(F2, m.coeffs, assume_irreducible=True)
+    a = ring.gen()
+    with pytest.raises(NotIrreducible, match=r"a\^3\+a\+1"):
+        (a ** 3 + a + 1) ** -1
+
+
 def test_parse_format_field_round_trip():
     for text in ["Q", "F2", "F3", "F3(t)", "F2[x]/(x^2+x+1)"]:
         field = L.parse_field(text)
