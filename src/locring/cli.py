@@ -46,8 +46,9 @@ def _parse_inputs(args, *poly_attrs):
 
 
 def _note_assumed(field, polys):
-    # stderr, so that stdout stays the same whether or not P was checked
-    for text in dict.fromkeys(format_poly(p) for p in polys):
+    # stderr, so that stdout stays the same whether or not P was checked; a
+    # linear P is irreducible over every field, so it needs no note
+    for text in dict.fromkeys(format_poly(p) for p in polys if p.degree != 1):
         print(f"note: irreducibility of {text} over {format_field(field)} "
               "is assumed, not verified", file=sys.stderr)
 
@@ -106,9 +107,6 @@ def cmd_lift(args):
     sigma = _sigma(args)
     n = args.power
     f = _pick_residue_morphism(args, p1, p2, sigma, assume)
-    if f is None:
-        print("no residue-level morphism found")
-        return 1
     report = lift_is_isomorphism(f, n)
     lifted = lift_morphism(f, n)
     payload = {
@@ -142,8 +140,6 @@ def cmd_find_iso(args):
     if args.json:
         print(json.dumps([f.to_dict() for f in found], sort_keys=True))
     else:
-        if not found:
-            print("no residue-level morphisms")
         for f in found:
             print(f"q = {format_poly(f.q_image)}")
     return 0
@@ -270,7 +266,7 @@ def cmd_demo_inseparable(args):
         print("expected NotSeparable from hensel_root_series")
         return 1
     try:
-        rings_isomorphic_separable(p, p, 2, assume_irreducible=True)
+        rings_isomorphic_separable(p, p, 2)
     except NotSeparable as e:
         print(f"rings_isomorphic_separable: NotSeparable ({e})")
     else:

@@ -9,7 +9,8 @@ exactly when gcd(S_f, P2) = 1, equivalently when Q_f' != 0.
 Over a finite field F_q the residue morphisms are found by root finding:
 their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2).  One root
 comes from equal-degree splitting over L2, the others are its Frobenius
-orbit, and each is then certified with its cofactor S_f.
+orbit, and each is then certified with its cofactor S_f.  At degree 1 the
+one root is sigma(c1), c1 the root of P1, over every field.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _root_vectors(p2, shifted, seed):
 @functools.lru_cache(maxsize=128)
 def _search(p1, p2, sigma):
     field = p1.field
-    if not field.is_finite():
+    if not field.is_finite() and (p1.degree, p2.degree) != (1, 1):
         raise UnsupportedField(
             f"residue isomorphism search requires a finite field, got {field}")
     if p1.degree != p2.degree:
@@ -140,16 +141,18 @@ def _search(p1, p2, sigma):
 
 
 def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
-    """All residue-level morphisms K[X]/(P1) -> K[X]/(P2) over a finite
-    field for a fixed base automorphism, in lexicographic order of
-    ascending coefficient vectors (constant term first, field elements in
-    enumeration order).
+    """All residue-level morphisms K[X]/(P1) -> K[X]/(P2) for a fixed base
+    automorphism, over a finite field or, at degree 1, over any field, in
+    lexicographic order of ascending coefficient vectors (constant term
+    first, field elements in enumeration order).
 
     Their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2): one
     root is found by equal-degree splitting over L2 and the others are its
     Frobenius orbit Q^(q^i), i < d.  Each is then certified as a morphism
     with its exact cofactor S_f.  The cost is polynomial in d and log q.
-    The result has exactly deg(P2) entries (conjugate roots).
+    The result has exactly deg(P2) entries (conjugate roots): at degree 1
+    the one X-image sigma(c1), c1 the root of P1.  UnsupportedField for an
+    infinite field above degree 1, DegreeMismatch for unequal degrees.
     """
     return _search(p1, p2, sigma)
 
@@ -297,24 +300,24 @@ def roots_bijection_check(f):
 
 def pick_residue_morphism(candidates, n):
     """The first candidate whose level-n lift is an isomorphism, else the
-    first candidate; None when there are no candidates."""
+    first candidate."""
     for f in candidates:
         if lift_is_isomorphism(f, n).verdict:
             return f
-    return candidates[0] if candidates else None
+    return candidates[0]
 
 
 def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
-                               residue_morphism=None,
-                               assume_irreducible=False):
+                               residue_morphism=None):
     """Produce an isomorphism K[X]/(P1^n) -> K[X]/(P2^n) for separable
     irreducible P1, P2, or None when the residue fields differ.
 
     Over finite fields the residue fields are isomorphic iff the degrees
-    agree; over other fields a residue morphism must be supplied by the
-    caller, except at degree 1, where the one residue morphism sends X to
-    sigma(c1), c1 the root of P1; a supplied one must run from K[X]/(P1) to
-    K[X]/(P2) (RingMismatch otherwise).  A residue morphism whose lift
+    agree, and find_residue_isomorphisms supplies the candidates, as it does
+    at degree 1 over every field; above degree 1 over other fields a
+    residue morphism must be supplied by the caller (UnsupportedField
+    otherwise).  A supplied one must run from K[X]/(P1) to K[X]/(P2) with
+    this sigma (RingMismatch otherwise).  A residue morphism whose lift
     criterion holds is lifted directly.  If every candidate has Q_f' = 0
     (always so at degree 1), the first one is corrected to the X-image
     Q = Q_f + V*P2, V = (1 - Q_f') / P2' mod P2: Q = Q_f mod P2, so Q
@@ -327,24 +330,17 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     derivative_inverse(p2)
     if n < 1:
         raise InvalidArgument("power must be >= 1")
-    if residue_morphism is not None and (residue_morphism.source.p != p1
-                                         or residue_morphism.target.p != p2):
+    if residue_morphism is not None and (
+            (residue_morphism.source.p, residue_morphism.target.p,
+             residue_morphism.sigma) != (p1, p2, sigma)):
         raise RingMismatch(f"{residue_morphism} is not a residue morphism "
-                           f"from P1 = {p1} to P2 = {p2}")
+                           f"from P1 = {p1} to P2 = {p2} with "
+                           f"sigma={sigma.label()}")
     if p1.degree != p2.degree:
         return None
-    if residue_morphism is not None:
-        candidates = (residue_morphism,)
-    elif p1.degree == 1:
-        # X - sigma^X(P1) = X - (X - sigma(c1)) = sigma(c1)
-        root = Poly.x(p1.field) - apply_automorphism_to_poly(sigma, p1)
-        candidates = (residue_morphism_from_Q(
-            p1, p2, sigma, root, assume_irreducible=assume_irreducible),)
-    else:
-        candidates = find_residue_isomorphisms(p1, p2, sigma)
+    candidates = ((residue_morphism,) if residue_morphism is not None
+                  else find_residue_isomorphisms(p1, p2, sigma))
     f = pick_residue_morphism(candidates, n)
-    if f is None:
-        return None
     if lift_is_isomorphism(f, n).verdict:
         return lift_morphism(f, n)
     p = f.target.p

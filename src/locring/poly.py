@@ -271,15 +271,17 @@ def is_irreducible(a):
 
 
 def check_irreducible(p, assume_irreducible):
-    """NotIrreducible unless P is irreducible, verified over a finite field;
-    elsewhere UnsupportedField.  Skipped when the caller asserts it."""
-    if p.field.is_finite():
-        if not assume_irreducible and not is_irreducible(p):
-            raise NotIrreducible(f"{p} is reducible over {p.field}")
-    elif not assume_irreducible:
+    """NotIrreducible unless P is irreducible: a linear P is, over every
+    field; a higher degree is verified over a finite field, elsewhere
+    UnsupportedField.  Skipped when the caller asserts it."""
+    if assume_irreducible or p.degree == 1:
+        return
+    if not p.field.is_finite():
         raise UnsupportedField(
             f"cannot verify irreducibility over {p.field}; "
             "pass assume_irreducible=True")
+    if not is_irreducible(p):
+        raise NotIrreducible(f"{p} is reducible over {p.field}")
 
 
 def enumerate_polys(field, degree, monic=True):

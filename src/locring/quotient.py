@@ -36,8 +36,9 @@ from .poly import (
 class QuotientRing:
     """K[X]/(P^n) for P monic irreducible, n >= 1.
 
-    Irreducibility is verified over finite fields and caller-asserted
-    (``assume_irreducible=True``) over Q and F_p(t).
+    Irreducibility is verified over finite fields, holds for every linear
+    P, and is caller-asserted (``assume_irreducible=True``) over Q and
+    F_p(t) above degree 1.
     """
 
     __slots__ = ("field", "p", "n", "modulus")

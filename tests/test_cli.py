@@ -304,6 +304,36 @@ def test_assumed_irreducibility_is_noted_on_stderr(tmp_path, capsys):
     assert "isomorphism: True" in out
 
 
+def test_degree_one_over_q_and_f2t_without_q(capsys):
+    # the one residue morphism X -> c1; linear moduli get no note
+    code, out, err = run(capsys, "find-iso", "--field", "Q", "--p1", "x-1",
+                         "--p2", "x+3")
+    assert (code, out, err) == (0, "q = 1\n", "")
+    for field, p1, p2 in (("Q", "x-1", "x+3"), ("F2(t)", "x+t", "x+1")):
+        code, out, err = run(capsys, "lift", "--field", field, "--p1", p1,
+                             "--p2", p2, "--power", "2")
+        assert code == 0 and err == ""
+        assert "verdict: not injective\n" in out
+        assert f"kernel witness: class of {p1}\n" in out
+
+
+def test_irreducibility_note_skips_linear_moduli(tmp_path, capsys):
+    code, out, err = run(capsys, "find-iso", "--field", "Q", "--p1", "x-1",
+                         "--p2", "x^2-2")
+    assert code == 2 and out == ""
+    assert err == ("note: irreducibility of x^2-2 over Q is assumed, not "
+                   "verified\nerror: UnsupportedField: residue isomorphism "
+                   "search requires a finite field, got Q\n")
+    code, out, err = run(capsys, "lift", "--field", "Q", "--p1", "x-1",
+                         "--p2", "x+3", "--power", "3", "--json")
+    assert code == 0 and err == ""
+    path = tmp_path / "q1.json"
+    path.write_text(json.dumps(json.loads(out)["morphism"]), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--morphism", str(path))
+    assert code == 0 and err == ""
+    assert "isomorphism: False" in out
+
+
 def test_no_irreducibility_note_over_finite_fields(tmp_path, capsys):
     code, out, err = run(capsys, "lift", "--field", "F2", "--p1", "x^2+x+1",
                          "--p2", "x^2+x+1", "--power", "2", "--json")

@@ -21,6 +21,7 @@ F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
+F3T = L.RationalFunctionField(3, "t")
 F9 = L.ExtensionField(F3, (1, 0, 1))
 F4 = L.parse_field("F2[x]/(x^2+x+1)")
 F5 = L.PrimeField(5)
@@ -189,6 +190,32 @@ def test_find_residue_isomorphisms_one_cache_entry_per_call():
 def test_find_residue_isomorphisms_requires_finite():
     with pytest.raises(UnsupportedField):
         L.find_residue_isomorphisms(P(Q, "x^2-2"), P(Q, "x^2-2"))
+
+
+def test_find_residue_isomorphisms_refuses_infinite_before_degrees():
+    # degree 1 alone is searched over Q; a pair with a higher degree is not,
+    # and the field is named before the degree mismatch
+    with pytest.raises(UnsupportedField):
+        L.find_residue_isomorphisms(P(Q, "x-1"), P(Q, "x^2-2"))
+    with pytest.raises(DegreeMismatch):
+        L.find_residue_isomorphisms(P(F3, "x+1"), P(F3, "x^2+1"))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9],
+                         ids=["F2", "F3", "F4", "F9"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [L.IDENTITY, L.frobenius(1)], ids=str)
+def test_find_residue_isomorphisms_returns_degree_many(field, degree, sigma):
+    # every pair up to 64, a seeded sample of 64 beyond that
+    pairs = list(itertools.product(L.enumerate_irreducibles(field, degree),
+                                   repeat=2))
+    if len(pairs) > 64:
+        pairs = random.Random(degree).sample(pairs, 64)
+    for p1, p2 in pairs:
+        found = L.find_residue_isomorphisms(p1, p2, sigma)
+        assert len(found) == len({f.q_image for f in found}) == degree
+        assert all((f.source.p, f.target.p, f.sigma) == (p1, p2, sigma)
+                   for f in found)
 
 
 # -- lifting ----------------------------------------------------------------
@@ -409,10 +436,24 @@ def test_rings_isomorphic_degree_one_shifts(field, sigma):
 
 
 def test_rings_isomorphic_degree_one_over_q():
-    iso = L.rings_isomorphic_separable(P(Q, "x+1"), P(Q, "x-1/2"), 3,
-                                       assume_irreducible=True)
+    iso = L.rings_isomorphic_separable(P(Q, "x+1"), P(Q, "x-1/2"), 3)
     assert iso.q_image == P(Q, "x-3/2")
     assert L.certify_isomorphism(iso)
+
+
+@pytest.mark.parametrize("field, c1, c2", [
+    (Q, "1", "-3"), (Q, "-1/2", "2/3"), (F3T, "t", "t^2+1"), (F3T, "1/t", "2"),
+], ids=["Q", "Q-fractions", "F3(t)", "F3(t)-fraction"])
+def test_degree_one_over_infinite_fields(field, c1, c2):
+    # P_i = X - c_i: the one residue morphism is X -> c1, its lift is
+    # corrected to X -> X + c1 - c2, and no irreducibility is assumed
+    p1, p2 = P(field, f"x-({c1})"), P(field, f"x-({c2})")
+    found = L.find_residue_isomorphisms(p1, p2)
+    assert [f.q_image for f in found] == [P(field, c1)]
+    for n in range(1, 5):
+        iso = L.rings_isomorphic_separable(p1, p2, n)
+        assert iso.q_image == P(field, f"x+({c1})-({c2})") % iso.target.modulus
+        assert L.certify_isomorphism(iso)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -466,19 +507,29 @@ def test_rings_isomorphic_rejects_residue_morphism_between_other_rings():
         L.rings_isomorphic_separable(p2, p1, 2, residue_morphism=cross)
 
 
+def test_rings_isomorphic_rejects_residue_morphism_for_another_sigma():
+    p1, p2 = P(F4, "x^2+x+a"), P(F4, "x^2+a*x+1")
+    f = L.find_residue_isomorphisms(p1, p2, L.frobenius(1))[0]
+    with pytest.raises(RingMismatch, match=r"sigma=frob\^1.*sigma=id"):
+        L.rings_isomorphic_separable(p1, p2, 2, residue_morphism=f)
+    iso = L.rings_isomorphic_separable(p1, p2, 2, sigma=L.frobenius(1),
+                                       residue_morphism=f)
+    assert iso.sigma == L.frobenius(1)
+    assert L.certify_isomorphism(iso)
+
+
 def test_rings_isomorphic_not_squarefree_over_q_raises():
     p = P(Q, "x^2+2*x+1")
     f = L.StabilizingMorphism.identity(
         L.QuotientRing(p, 1, assume_irreducible=True))
     with pytest.raises(NotIrreducible):
-        L.rings_isomorphic_separable(p, p, 2, residue_morphism=f,
-                                     assume_irreducible=True)
+        L.rings_isomorphic_separable(p, p, 2, residue_morphism=f)
 
 
 def test_rings_isomorphic_inseparable_raises():
     p = P(F2T, "x^2+t")
     with pytest.raises(NotSeparable):
-        L.rings_isomorphic_separable(p, p, 2, assume_irreducible=True)
+        L.rings_isomorphic_separable(p, p, 2)
 
 
 def test_rings_isomorphic_char0_with_supplied_residue_morphism():
@@ -486,8 +537,7 @@ def test_rings_isomorphic_char0_with_supplied_residue_morphism():
     ring = L.QuotientRing(p, 1, assume_irreducible=True)
     f = L.StabilizingMorphism(ring, ring, L.IDENTITY, P(Q, "-x"),
                               s_cert=Poly.one(Q))
-    iso = L.rings_isomorphic_separable(p, p, 3, residue_morphism=f,
-                                       assume_irreducible=True)
+    iso = L.rings_isomorphic_separable(p, p, 3, residue_morphism=f)
     assert iso is not None
     assert iso.q_image == P(Q, "-x")
     assert L.certify_isomorphism(iso)
@@ -496,4 +546,4 @@ def test_rings_isomorphic_char0_with_supplied_residue_morphism():
 def test_rings_isomorphic_char0_without_morphism_raises():
     p = P(Q, "x^2-2")
     with pytest.raises(UnsupportedField):
-        L.rings_isomorphic_separable(p, p, 2, assume_irreducible=True)
+        L.rings_isomorphic_separable(p, p, 2)

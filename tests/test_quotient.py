@@ -46,6 +46,15 @@ def test_make_ring_infinite_field_needs_assertion():
     assert ring.dimension == 4
 
 
+def test_make_ring_linear_modulus_needs_no_assertion():
+    # a linear P is irreducible over every field
+    for field in (Q, L.RationalFunctionField(3, "t")):
+        ring = L.QuotientRing(P(field, "x-1/2"), 3)
+        assert ring.dimension == 3
+    with pytest.raises(UnsupportedField):
+        L.QuotientRing(P(Q, "x^2-1/4"), 1)
+
+
 def test_ring_arith():
     f9 = L.QuotientRing(P(F3, "x^2+1"), 1)
     x = f9.gen()
