@@ -251,16 +251,14 @@ class StabilizingMorphism:
                 witness=residue)
 
     def _apply(self, x):
-        """sigma^X(x)(q) mod the target modulus, on payloads, deg x <= D."""
+        """sigma^X(x)(q) mod the target modulus, on payloads, deg x <= D:
+        the one linear combination ``_pdot`` of the powers of q, which over
+        Q and F_p(t) normalizes each output coefficient once."""
         f = self.target.field
         act = self.sigma.on(f)
-        acc = ()
-        for c, img in zip(x, self.images):
-            if not f._is_zero(c):
-                if act is not None:
-                    c = act(c)
-                acc = f._padd(acc, f._pmul((c,), img))
-        return acc
+        if act is not None:
+            x = [act(c) for c in x]
+        return f._pdot(x, self.images)
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizingMorphism is immutable")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from locring.errors import (
     UnsupportedAutomorphism,
     UnsupportedField,
 )
-from locring.fields import _MR_LIMIT, _is_prime
+from locring.fields import _MR_LIMIT, Field, _is_prime
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
@@ -371,3 +372,108 @@ def test_prime_field_characteristic_checks():
     assert L.PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
     with pytest.raises(UnsupportedField):
         L.PrimeField(_MR_LIMIT + 2)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-field add, the F_p gcd and the linear combination kernel
+# against the plain reference each of them replaces
+
+F3T = L.RationalFunctionField(3, "t")
+F5, F7 = L.PrimeField(5), L.PrimeField(7)
+FRACTION_FIELDS = [Q, F2T, F3T]
+
+
+def _fraction_pool(field, seed):
+    """Payloads with zero, denominators of 1, shared denominators and each
+    value's negative, so that some sums cancel to 0."""
+    rng = random.Random(seed)
+    if field == Q:
+        pool = [(0, 1), (1, 1), (-3, 1), (1, 2), (3, 2), (5, 6), (-7, 6),
+                (1, 3)] + [field.random_payload(rng) for _ in range(8)]
+    else:
+        r = field._reduce
+        pool = [r((), (1,)), r((1,), (1,)), r((0, 1), (1,)),
+                r((1,), (0, 1)), r((1, 1), (0, 1)), r((1,), (1, 1)),
+                r((0, 0, 1), (1, 1))]
+        pool += [field.random_payload(rng) for _ in range(8)]
+    return pool + [field._neg(a) for a in pool]
+
+
+def _assert_canonical(field, a):
+    n, d = a
+    if field == Q:
+        assert d > 0 and gcd(n, d) == 1, a
+    else:
+        fp = field._fp
+        assert fp._ptrim(n) == n and fp._ptrim(d) == d, a
+        assert all(0 <= c < field.p for c in n + d), a
+        assert d[-1] == 1 and Field._pgcd(fp, n, d) == (1,), a
+
+
+@pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
+def test_fraction_add_matches_the_one_reduce_reference(field):
+    mul = field._nmul
+    pool = _fraction_pool(field, 40)
+    for a in pool:
+        for b in pool:
+            (na, da), (nb, db) = a, b
+            expected = field._reduce(field._nadd(mul(na, db), mul(nb, da)),
+                                     mul(da, db))
+            got = field._add(a, b)
+            assert got == expected, (a, b)
+            _assert_canonical(field, got)
+
+
+def _random_fp_poly(field, rng, degree):
+    if degree < 0:
+        return ()
+    return (tuple(rng.randrange(field.p) for _ in range(degree))
+            + (rng.randrange(1, field.p),))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=repr)
+def test_prime_field_gcd_matches_the_generic_euclid(field):
+    rng = random.Random(41)
+    assert field._pgcd((), ()) == ()
+    cases = []
+    for _ in range(150):
+        # a shared factor makes most gcds nontrivial; degree -1 is zero
+        c = _random_fp_poly(field, rng, rng.randint(0, 3))
+        a, b = (field._pmul(c, _random_fp_poly(field, rng, rng.randint(-1, 6)))
+                for _ in range(2))
+        cases += [(a, b), (a, a), (a, ()), ((), b)]
+    # non-monic inputs occur wherever they exist
+    assert field.p == 2 or any(a and a[-1] != 1 for a, _ in cases)
+    for a, b in cases:
+        assert field._pgcd(a, b) == Field._pgcd(field, a, b), (a, b)
+
+
+def _dot_reference(field, cs, ps):
+    acc = ()
+    for c, p in zip(cs, ps):
+        if not field._is_zero(c):
+            acc = field._padd(acc, field._pmul((c,), p))
+    return acc
+
+
+@pytest.mark.parametrize("field", [F2, F7, Q, F2T, F3T, F4, F9,
+                                   *POLY_PATH_FIELDS,
+                                   TABLE_FIELDS[4]],  # F16 over F4
+                         ids=repr)
+def test_pdot_matches_the_add_and_multiply_loop(field):
+    rng = random.Random(42)
+    zero = field._from_int(0)
+
+    def poly(length):
+        return field._ptrim([field.random_payload(rng)
+                             for _ in range(length)])
+    for _ in range(60):
+        ps = [poly(rng.randint(0, 5)) for _ in range(rng.randint(0, 5))]
+        ps.insert(rng.randint(0, len(ps)), ())  # an empty polynomial
+        cs = [zero if rng.random() < 0.3 else field.random_payload(rng)
+              for _ in range(rng.randint(0, len(ps)))]  # cs may be shorter
+        assert field._pdot(cs, ps) == _dot_reference(field, cs, ps), (cs, ps)
+    # a combination that cancels to zero
+    p = poly(4)
+    one = field._from_int(1)
+    assert field._pdot([one, field._neg(one)], [p, p]) == ()

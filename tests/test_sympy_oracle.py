@@ -1,7 +1,8 @@
 """Differential oracle: gcd, divmod and the irreducibility test over F_p
 against sympy's ``Poly(..., modulus=p)`` on seeded random polynomials of
-degree <= 12.  sympy is a test-only dependency; without it the module is
-skipped."""
+degree <= 12, and products, sums and divmod over Q and F3(t) against
+sympy's ``QQ`` and ``GF(3)(t)``.  sympy is a test-only dependency; without
+it the module is skipped."""
 
 import random
 
@@ -69,3 +70,69 @@ def test_is_irreducible_matches_sympy():
         for poly in (a, b):
             assert is_irreducible(poly) == _to_sympy(poly).is_irreducible, poly
 
+
+
+# ---------------------------------------------------------------------------
+# the fraction fields: Poly products, divmod and sums over Q and F3(t)
+# against sympy's QQ and GF(3)(t)
+
+T = sympy.Symbol("t")
+FRACTION_CASES = 30
+
+
+def _fraction_domain(field):
+    if isinstance(field, L.Rationals):
+        return sympy.QQ
+    return sympy.FF(field.p).frac_field(T)
+
+
+def _fraction_to_sympy(field, domain, c):
+    if isinstance(field, L.Rationals):
+        return domain(*c)
+    num, den = (sum(int(k) * T ** i for i, k in enumerate(part))
+                for part in c)
+    return domain.from_sympy(num / den)
+
+
+def _fraction_poly_to_sympy(a):
+    domain = _fraction_domain(a.field)
+    coeffs = [_fraction_to_sympy(a.field, domain, c) for c in a.payload]
+    return sympy.Poly(list(reversed(coeffs)) or [0], X, domain=domain)
+
+
+def _random_fraction_poly(field, rng, degree):
+    """Coefficients drawn so that zeros, integers and shared denominators
+    occur as well as general fractions; nonzero leading coefficient."""
+    def coeff():
+        r = rng.random()
+        if r < 0.2:
+            return field._from_int(0)
+        if r < 0.4:
+            return field._from_int(rng.randint(1, 5))
+        return field.random_payload(rng)
+    coeffs = [coeff() for _ in range(degree + 1)]
+    while field._is_zero(coeffs[-1]):
+        coeffs[-1] = coeff()
+    return Poly._of(field, field._ptrim(coeffs))
+
+
+@pytest.mark.parametrize("field", [L.Rationals(),
+                                   L.RationalFunctionField(3, "t")],
+                         ids=repr)
+def test_fraction_field_arithmetic_matches_sympy(field):
+    rng = random.Random(14)
+    s = _fraction_poly_to_sympy
+
+    def same(ours, theirs):
+        # sympy keeps GF(p)(t) fractions up to a unit, so == can miss
+        return (s(ours) - theirs).is_zero
+    for _ in range(FRACTION_CASES):
+        a = _random_fraction_poly(field, rng, rng.randint(0, 5))
+        b = _random_fraction_poly(field, rng, rng.randint(0, 4))
+        assert same(a * b, s(a) * s(b)), (a, b)
+        assert same(a + b, s(a) + s(b)), (a, b)
+        assert same(a - b, s(a) - s(b)), (a, b)
+        assert (a - a).is_zero()
+        quo, rem = divmod(a, b)
+        squo, srem = s(a).div(s(b))
+        assert same(quo, squo) and same(rem, srem), (a, b)
