@@ -298,7 +298,9 @@ def build_parser():
     p_digits.add_argument("--field", required=True)
     p_digits.add_argument("--poly", required=True)
     p_digits.add_argument("--power", type=int, required=True)
-    p_digits.add_argument("--element", required=True)
+    p_digits.add_argument("--element", required=True,
+                          help="element of K[X]/(P^k); one that starts with "
+                               "'-' takes the form --element=-x")
     p_digits.add_argument("--json", action="store_true")
     p_digits.set_defaults(func=cmd_digits)
 
@@ -310,7 +312,8 @@ def build_parser():
     p_lift.add_argument("--power", type=int, required=True)
     p_lift.add_argument("--sigma", default=None)
     p_lift.add_argument("--q", default=None,
-                        help="use this X-image instead of searching")
+                        help="use this X-image instead of searching; one "
+                             "that starts with '-' takes the form --q=-x")
     p_lift.add_argument("--json", action="store_true")
     p_lift.set_defaults(func=cmd_lift)
 

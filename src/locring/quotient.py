@@ -93,9 +93,11 @@ class QuotientRing:
     def elements(self):
         """All elements (finite fields only), deterministic order."""
         import itertools
-        elems = list(self.field.elements())
-        for tup in itertools.product(elems, repeat=self.dimension):
-            yield self.element(Poly(self.field, tup))
+        # a tuple of D coefficient payloads is already reduced mod P^n
+        field, trim = self.field, self.field._ptrim
+        payloads = [c.payload for c in field.elements()]
+        for tup in itertools.product(payloads, repeat=self.dimension):
+            yield QuotientElement(self, Poly._of(field, trim(tup)))
 
     def random_element(self, rng):
         coeffs = [self.field.random_element(rng) for _ in range(self.dimension)]

@@ -128,6 +128,19 @@ def test_lift_with_explicit_q_negative(capsys):
     assert payload["kernel_witness"] == "x^3+x+1"
 
 
+def test_lift_q_that_starts_with_minus(capsys):
+    # argparse reads "--q -x" as two options and exits 2; "--q=-x" is a value
+    argv = ["lift", "--field", "Q", "--p1", "x^2-2", "--p2", "x^2-2",
+            "--power", "2"]
+    code, out, _ = run(capsys, *argv, "--q=-x")
+    assert code == 0
+    assert "verdict: isomorphism" in out.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--q", "-x"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_lift_bad_q_is_input_error(capsys):
     code, _, err = run(capsys, "lift", "--field", "F3",
                        "--p1", "x^2+1", "--p2", "x^2+x+2",

@@ -1,7 +1,8 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
-p in {2, 3, 5}, and the gcd of the F_p kernel, on payloads that Hypothesis
-draws.  Hypothesis is a test-only dependency; without it the module is
-skipped."""
+p in {2, 3, 5}, the gcd of the F_p kernel, and the two-stage morphism law
+of ``exhaustive_morphism_check`` against the pair-by-pair reference, on
+inputs that Hypothesis draws.  Hypothesis is a test-only dependency;
+without it the module is skipped."""
 
 import pytest
 
@@ -10,6 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import locring as L  # noqa: E402
+from locring.poly import Poly  # noqa: E402
+from locring.verify import exhaustive_morphism_check  # noqa: E402
+from test_verify import objectwise_morphism_check  # noqa: E402
 
 # a few hundred examples in all keep the module near a second
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -78,3 +82,59 @@ def test_gcd_is_monic_and_divides_both(case):
     assert field._pdivmod(a, g)[1] == () and field._pdivmod(b, g)[1] == ()
     if c:
         assert field._pdivmod(g, c)[1] == ()
+
+
+# (P1, P2) per ring, at n = 1 and 2: rings of 4 to 81 elements
+LAW_MODULI = [(L.PrimeField(2), "x^2+x+1", "x^2+x+1"),
+              (L.PrimeField(2), "x^3+x+1", "x^3+x^2+1"),
+              (L.PrimeField(3), "x^2+1", "x^2+x+2")]
+LIFTS = [L.lift_morphism(L.find_residue_isomorphisms(
+    L.parse_poly(field, p1), L.parse_poly(field, p2))[0], n)
+    for field, p1, p2 in LAW_MODULI for n in (1, 2)]
+
+
+class MatrixMap:
+    """a -> M a on the coefficient vectors of R over F_p: F_p-linear, so
+    additive, and multiplicative only for a few M."""
+
+    def __init__(self, ring, rows):
+        self.source = self.target = ring
+        self.rows = rows
+
+    def __call__(self, a):
+        v = a.rep.payload + (0,) * (self.source.dimension - len(a.rep.payload))
+        return self.target.element(Poly(
+            self.source.field, [sum(m * x for m, x in zip(row, v))
+                                for row in self.rows]))
+
+
+class Perturbed:
+    """A genuine lift f but for the one image f(c) + d, d != 0."""
+
+    def __init__(self, f, c, d):
+        self.source, self.target = f.source, f.target
+        self.f, self.c, self.d = f, c, d
+
+    def __call__(self, a):
+        return self.f(a) + self.d if a == self.c else self.f(a)
+
+
+@st.composite
+def law_cases(draw):
+    f = draw(st.sampled_from(LIFTS))
+    if draw(st.booleans()):
+        ring = f.source
+        d = ring.dimension
+        entries = draw(st.lists(st.integers(0, ring.field.p - 1),
+                                min_size=d * d, max_size=d * d))
+        return MatrixMap(ring, [entries[i:i + d] for i in range(0, d * d, d)])
+    source, target = list(f.source.elements()), list(f.target.elements())
+    # elements() starts at zero, so target[1:] holds the nonzero shifts
+    return Perturbed(f, draw(st.sampled_from(source)),
+                     draw(st.sampled_from(target[1:])))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(law_cases())
+def test_two_stage_law_matches_the_pair_by_pair_reference(f):
+    assert exhaustive_morphism_check(f) == objectwise_morphism_check(f)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from locring.poly import Poly
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
+F4 = L.ExtensionField(F2, (1, 1, 1))
 
 
 def P(field, text):
@@ -251,3 +253,22 @@ def test_action_matches_horner_composition(make):
     for a in elements:
         shifted = L.apply_automorphism_to_poly(f.sigma, a.rep)
         assert f(a).rep == shifted.compose_mod(f.q_image, f.target.modulus)
+
+
+ENUMERATION_RINGS = {
+    "F2": (F2, "x^2+x+1", 2),
+    "F3": (F3, "x^2+1", 1),
+    "F4": (F4, "x+a", 2),
+    "F9": (L.ExtensionField(F3, (1, 0, 1)), "x+a", 2),
+    "F16-over-F4": (L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+                    "x+b", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_RINGS))
+def test_elements_are_the_classes_of_coefficient_tuples_in_order(name):
+    field, modulus, n = ENUMERATION_RINGS[name]
+    ring = L.QuotientRing(P(field, modulus), n)
+    expected = [ring.element(Poly(field, t)) for t in
+                itertools.product(field.elements(), repeat=ring.dimension)]
+    assert list(ring.elements()) == expected

@@ -430,3 +430,21 @@ def test_exhaustive_check_too_large():
     ring = L.QuotientRing(P(F3, "x^3+2*x+1"), 3)  # 3^9 elements
     with pytest.raises(TooLarge):
         exhaustive_morphism_check(L.StabilizingMorphism.identity(ring))
+
+
+def test_exhaustive_check_multiplies_only_basis_pairs(monkeypatch):
+    # R = F3[x]/((x^3+2x+1)^2): |R| = 729, D = 6.  Additivity on R x B
+    # needs no product; multiplicativity on B x B needs at most D^2 pairs of
+    # two products each, where R x B took 729 * 6 * 2 = 8,748.
+    f = L.lift_morphism(L.find_residue_isomorphisms(P(F3, "x^3+2*x+1"),
+                                                    P(F3, "x^3+2*x+2"))[0], 2)
+    calls = []
+    pmul = L.PrimeField._pmul
+
+    def counting_pmul(self, a, b):
+        calls.append(1)
+        return pmul(self, a, b)
+    monkeypatch.setattr(L.PrimeField, "_pmul", counting_pmul)
+    report = exhaustive_morphism_check(f)
+    assert report.passed and report.n_pairs == 531441
+    assert len(calls) <= 2 * 6 ** 2
