@@ -14,13 +14,14 @@ is equality of payloads.  Supported fields:
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition and powering, uses the field's own scalar
-ops.  ``PrimeField`` replaces its add, multiply, divide, gcd (Euclid on
-remainders alone) and linear combination ``_pdot`` with plain int loops.  The
-fraction fields ``Rationals`` and ``RationalFunctionField`` share their
-scalar ops, on pairs over Z or F_p[t], with Henrici's addition, and one
-multiply, divide and ``_pdot`` over a common denominator, normalizing each
-output coefficient once (a divisor whose cleared leading coefficient is not
-a unit takes the generic loop).  Together these took the benchmark's generic
+ops.  ``PrimeField`` replaces its add, multiply, divide (and ``_prem``, the
+remainder alone, building no quotient), gcd (Euclid on remainders alone) and
+linear combination ``_pdot`` with plain int loops.  The fraction fields
+``Rationals`` and ``RationalFunctionField`` share their scalar ops, on pairs
+over Z or F_p[t], with Henrici's addition, and one multiply, divide (and
+``_prem``) and ``_pdot`` over a common denominator, normalizing each output
+coefficient once (a divisor whose cleared leading coefficient is not a unit
+takes the generic loop).  Together these took the benchmark's generic
 workload (Q and F2(t)) from 114 to 138 cases/s on a 2-CPU x86-64 host.
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
 ``F_p[x]/(m)`` all run on it, save that an extension of order at most 32 (a
@@ -80,14 +81,16 @@ def _is_prime(n):
     return True
 
 
-def _power(acc, a, e, mul):
-    """acc * a**e by square and multiply with the product ``mul``."""
-    while e:
-        if e & 1:
+def _power(one, a, e, mul):
+    """a**e by left-to-right square and multiply with the product ``mul``,
+    ``one`` when e = 0; no product has the factor one."""
+    if not e:
+        return one
+    acc = a
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
             acc = mul(acc, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
     return acc
 
 
@@ -187,6 +190,10 @@ class Field:
                 rem[k + j] = self._add(rem[k + j], self._mul(neg_c, b[j]))
         return self._ptrim(quo), self._ptrim(rem)
 
+    def _prem(self, a, m):
+        """The remainder of a mod m, for callers that drop the quotient."""
+        return self._pdivmod(a, m)[1]
+
     def _pmonic(self, a):
         if not a or a[-1] == self._from_int(1):
             return tuple(a)
@@ -195,7 +202,7 @@ class Field:
 
     def _pgcd(self, a, b):
         while b:
-            a, b = b, self._pdivmod(a, b)[1]
+            a, b = b, self._prem(a, b)
         return self._pmonic(a)
 
     def _pdot(self, cs, ps):
@@ -214,9 +221,9 @@ class Field:
             for c in reversed(a):
                 acc = self._padd(self._pmul(acc, q), (c,))
             return acc
-        q = self._pdivmod(q, m)[1]
+        q = self._prem(q, m)
         for c in reversed(a):
-            acc = self._pdivmod(self._padd(self._pmul(acc, q), (c,)), m)[1]
+            acc = self._prem(self._padd(self._pmul(acc, q), (c,)), m)
         return acc
 
     def _ppow(self, a, e, m=None):
@@ -227,9 +234,8 @@ class Field:
             return _power(one, a, e, self._pmul)
 
         def mul_mod(x, y):
-            return self._pdivmod(self._pmul(x, y), m)[1]
-        return _power(self._pdivmod(one, m)[1], self._pdivmod(a, m)[1], e,
-                      mul_mod)
+            return self._prem(self._pmul(x, y), m)
+        return _power(self._prem(one, m), self._prem(a, m), e, mul_mod)
 
     def _pgcdex(self, a, b):
         """Extended Euclid: (g, u, v) with g = u*a + v*b, g monic."""
@@ -344,6 +350,16 @@ class _FractionField(Field):
         return self._ptrim([reduce(c, den) for c in out])
 
     def _pdivmod(self, a, b):
+        return self._pdivide(a, b, True)
+
+    def _prem(self, a, m):
+        if len(a) < len(m):
+            return self._ptrim(a)
+        return self._pdivide(a, m, False)[1]
+
+    def _pdivide(self, a, b, want_quo):
+        """(quotient, remainder) of a by b; the common-denominator loop
+        builds and normalizes the quotient only when ``want_quo``."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
         bn, db = self._clear(b)
@@ -358,17 +374,18 @@ class _FractionField(Field):
         db = mul(db, unit)
         rem, da = self._clear(a)
         nb = len(bn) - 1
-        quo = [self._nzero] * max(len(rem) - nb, 1)
+        quo = [self._nzero] * max(len(rem) - nb, 1) if want_quo else None
         while len(rem) > nb:
             top = rem.pop()
             if not top:
                 continue
             k = len(rem) - nb
-            quo[k] = top
+            if want_quo:
+                quo[k] = top
             for j in range(nb):
                 rem[k + j] = add(rem[k + j], mul(top, neg_bn[j]))
-        return (self._ptrim([reduce(mul(c, db), da) for c in quo]),
-                self._ptrim([reduce(c, da) for c in rem]))
+        quo = want_quo and self._ptrim([reduce(mul(c, db), da) for c in quo])
+        return quo, self._ptrim([reduce(c, da) for c in rem])
 
     def _pdot(self, cs, ps):
         pairs = [(c, p) for c, p in zip(cs, ps) if c[0] and p]
@@ -510,6 +527,16 @@ class PrimeField(Field):
         return self._ptrim([c % p for c in out])
 
     def _pdivmod(self, a, b):
+        return self._pdivide(a, b, True)
+
+    def _prem(self, a, m):
+        if len(a) < len(m):
+            return self._ptrim([c % self.p for c in a])
+        return self._pdivide(a, m, False)[1]
+
+    def _pdivide(self, a, b, want_quo):
+        """(quotient, remainder) of a by b, building the quotient only
+        when ``want_quo``."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
         p = self.p
@@ -517,17 +544,18 @@ class PrimeField(Field):
         monic = b[-1] == 1
         inv_lead = None if monic else pow(b[-1], -1, p)
         rem = list(a)
-        quo = [0] * max(len(rem) - db, 1)
+        quo = [0] * max(len(rem) - db, 1) if want_quo else None
         while len(rem) > db:
             top = rem.pop() % p
             if not top:
                 continue
             k = len(rem) - db
             c = top if monic else top * inv_lead % p
-            quo[k] = c
+            if want_quo:
+                quo[k] = c
             for j in range(db):
                 rem[k + j] -= c * b[j]
-        return self._ptrim(quo), self._ptrim([c % p for c in rem])
+        return want_quo and self._ptrim(quo), self._ptrim([c % p for c in rem])
 
     def _pgcd(self, a, b):
         # Euclid on remainders alone: each divisor is made monic once and
@@ -737,7 +765,7 @@ class ExtensionField(Field):
         return self.base._pneg(a)
 
     def _mul(self, a, b):
-        return self.base._pdivmod(self.base._pmul(a, b), self._m)[1]
+        return self.base._prem(self.base._pmul(a, b), self._m)
 
     def _inv(self, a):
         if not a:
@@ -753,9 +781,8 @@ class ExtensionField(Field):
         # a coordinate is an int, a base element or a base payload that is a
         # tuple: a Q pair, or an element of the base of a tower
         base = self.base
-        return base._pdivmod([base._canon(c) if isinstance(c, tuple)
-                              else base.coerce(c).payload for c in a],
-                             self._m)[1]
+        return base._prem([base._canon(c) if isinstance(c, tuple)
+                           else base.coerce(c).payload for c in a], self._m)
 
     def _from_int(self, k):
         return self.base._ptrim((self.base._from_int(k),))

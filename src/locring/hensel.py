@@ -128,12 +128,12 @@ def to_digits(a):
     it serves every step; the representative keeps degree < k * deg P."""
     ring, x = a.ring, a.rep.payload
     f, p, embed = ring.field, ring.p.payload, _embedding(ring.p, ring.n)
-    digits = [f._pdivmod(x, p)[1]]
+    digits = [f._prem(x, p)]
     while len(digits) < ring.n:
         x, r = f._pdivmod(f._padd(x, f._pneg(embed._apply(digits[-1]))), p)
         if r:
             raise InexactDivision("P does not divide a digit step's remainder")
-        digits.append(f._pdivmod(x, p)[1])
+        digits.append(f._prem(x, p))
     return ResidueDigits(ring, tuple(
         QuotientElement(embed.source, Poly._of(f, d)) for d in digits))
 
@@ -149,7 +149,7 @@ def from_digits(d):
     for digit in reversed(d.digits):
         acc = f._padd(f._pmul(acc, p), embed._apply(digit.rep.payload))
     return QuotientElement(ring, Poly._of(
-        f, f._pdivmod(acc, ring.modulus.payload)[1]))
+        f, f._prem(acc, ring.modulus.payload)))
 
 
 def digits_mul(d1, d2):
@@ -165,7 +165,7 @@ def digits_mul(d1, d2):
         for j, y in enumerate(ys[:k - i]):
             out[i + j] = f._padd(out[i + j], f._pmul(a.rep.payload, y))
     return ResidueDigits(ring, tuple(QuotientElement(
-        residue_ring, Poly._of(f, f._pdivmod(c, ring.p.payload)[1]))
+        residue_ring, Poly._of(f, f._prem(c, ring.p.payload)))
         for c in out))
 
 

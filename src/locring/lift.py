@@ -8,14 +8,17 @@ exactly when gcd(S_f, P2) = 1, equivalently when Q_f' != 0.
 
 Over a finite field F_q the residue morphisms are found by root finding:
 their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2).  One root
-comes from equal-degree splitting over L2, the others are its Frobenius
-orbit, and each is then certified with its cofactor S_f.  At degree 1 the
-one root is sigma(c1), c1 the root of P1, over every field.
+comes from Berlekamp's trace splitting, with the Frobenius powers of Y
+modulo sigma^X(P1) computed once over F_q, where its coefficients lie; the
+others are its Frobenius orbit, and each is then certified with its
+cofactor S_f.  At degree 1 the one root is sigma(c1), c1 the root of P1,
+over every field.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ from .errors import (
     RingMismatch,
     UnsupportedField,
 )
-from .fields import IDENTITY, ExtensionField, FieldElement
+from .fields import IDENTITY, ExtensionField, FieldElement, frobenius
 from .hensel import derivative_inverse
 from .poly import Poly, apply_automorphism_to_poly, format_poly, gcd
 from .quotient import QuotientRing, StabilizingMorphism
@@ -66,30 +69,35 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     return StabilizingMorphism(source, target, sigma, q, s_cert=s)
 
 
-def _split_root(ext, r, rng):
-    """One root in the finite field ``ext`` of the monic payload polynomial
-    r, which splits over ext into distinct linear factors, by equal-degree
-    splitting (Cantor-Zassenhaus): gcd(r, h) for a random h that vanishes
-    at about half the roots, recursing into the smaller factor."""
-    zero, one = ext._from_int(0), ext._from_int(1)
-    order = ext.order()
+def _split_root(ext, s, rng):
+    """One root in the finite field ``ext`` = K[Y]/(m), |ext| = p^k, of the
+    monic polynomial s over K (a base payload) that splits over ext into
+    distinct linear factors, by Berlekamp's trace splitting (E. R.
+    Berlekamp, Math. Comp. 24, 1970) with the Frobenius powers
+    ys[i] = Y^(p^i) mod s computed once over K (J. von zur Gathen and
+    V. Shoup, Comput. Complexity 2, 1992).
+
+    For a random delta in ext, T = sum_i delta^(p^i) * ys[i] is
+    Tr(delta*Y) mod s, so T(alpha) = Tr_{ext/F_p}(delta*alpha) lies in F_p at
+    each root alpha.  For a random e in F_p, gcd(r, (T + e)^(p//2) - 1), r a
+    factor of s, keeps the roots where T + e is a nonzero square (p odd) or
+    is 1 (p = 2); the shift e tells apart roots whose traces differ only in
+    sign.  The splitting recurses into the smaller factor."""
+    base, p = ext.base, ext.char
+    frob = frobenius().on(ext)
+    ys = [(base._from_int(0), base._from_int(1))]
+    while p ** len(ys) < ext.order():
+        ys.append(base._ppow(ys[-1], p, s))
+    # cols[j][i] is the coefficient of Y^j in ys[i]
+    cols = list(itertools.zip_longest(*ys, fillvalue=base._from_int(0)))
+    r = tuple(base._ptrim((c,)) for c in s)
     while len(r) > 2:
-        delta = ext.random_payload(rng)
-        if ext.char == 2:
-            # Tr(delta*Y) = sum_{i<k} (delta*Y)^(2^i) mod r, |ext| = 2^k; the
-            # roots are conjugates with equal traces, so Tr(Y + delta) would
-            # never split r.  Squaring is coefficient-wise in characteristic 2.
-            t = h = ext._ptrim((zero, delta))
-            for _ in range(order.bit_length() - 2):
-                square = [zero] * (2 * len(t) - 1)
-                square[::2] = [ext._mul(c, c) for c in t]
-                t = ext._pdivmod(square, r)[1]
-                h = ext._padd(h, t)
-        else:
-            # (Y + delta)^((|ext|-1)/2) - 1 vanishes at the roots alpha
-            # with alpha + delta a nonzero square
-            h = ext._padd(ext._ppow((delta, one), (order - 1) // 2, r),
-                          (ext._neg(one),))
+        deltas = [ext.random_payload(rng)]
+        while len(deltas) < len(ys):
+            deltas.append(frob(deltas[-1]))
+        t = ext._padd(ext._ptrim([base._pdot(col, deltas) for col in cols]),
+                      (ext._from_int(rng.randrange(p)),))
+        h = ext._padd(ext._ppow(t, p // 2, r), (ext._from_int(-1),))
         g = ext._pgcd(r, h)
         if 1 < len(g) < len(r):
             r = min(g, ext._pdivmod(r, g)[0], key=len)
@@ -107,15 +115,15 @@ def _frobenius_orbit(a, q, d):
 
 def _root_vectors(p2, shifted, seed):
     """The payloads of the d roots of sigma^X(P1) in L2 = F_q[X]/(P2), in
-    ascending lexicographic order: one root by equal-degree splitting, the
-    others its Frobenius orbit Q^(q^i)."""
+    ascending lexicographic order: one root by trace splitting, the others
+    its Frobenius orbit Q^(q^i)."""
     field = p2.field
     if p2.degree == 1:
         return [field._ptrim((field._neg(shifted.payload[0]),))]
     # QuotientRing(P2, 1) has just verified P2
     ext = ExtensionField(field, p2.coeffs, assume_irreducible=True)
-    r = tuple(field._ptrim((c,)) for c in shifted.payload)
-    root = FieldElement(ext, _split_root(ext, r, random.Random(seed)))
+    root = FieldElement(ext, _split_root(ext, shifted.payload,
+                                         random.Random(seed)))
     return [a.payload
             for a in _frobenius_orbit(root, field.order(), p2.degree)]
 
@@ -147,7 +155,9 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
     first, field elements in enumeration order).
 
     Their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2): one
-    root is found by equal-degree splitting over L2 and the others are its
+    root is found by Berlekamp's trace splitting (Math. Comp. 24, 1970),
+    from the powers Y^(p^i) mod sigma^X(P1) computed once over F_q (von zur
+    Gathen and Shoup, Comput. Complexity 2, 1992), and the others are its
     Frobenius orbit Q^(q^i), i < d.  Each is then certified as a morphism
     with its exact cofactor S_f.  The cost is polynomial in d and log q.
     The result has exactly deg(P2) entries (conjugate roots): at degree 1

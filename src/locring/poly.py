@@ -156,7 +156,10 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Poly._of(self.field, self.field._prem(self.payload, o.payload))
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:

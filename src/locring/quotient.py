@@ -239,7 +239,7 @@ class StabilizingMorphism:
         f, m = target.field, target.modulus.payload
         images = [(f._from_int(1),)]
         for _ in range(source.dimension):
-            images.append(f._pdivmod(f._pmul(images[-1], q.payload), m)[1])
+            images.append(f._prem(f._pmul(images[-1], q.payload), m))
         for name, value in (("source", source), ("target", target),
                             ("sigma", sigma), ("q_image", q),
                             ("s_cert", s_cert), ("images", tuple(images))):

@@ -188,7 +188,7 @@ def exhaustive_morphism_check(f):
         raise TooLarge(
             f"{ring} has {ring.order()} elements (cap {_EXHAUSTIVE_CAP})")
     field = ring.field
-    padd, pmul, pdivmod = field._padd, field._pmul, field._pdivmod
+    padd, pmul, prem = field._padd, field._pmul, field._prem
     m1, m2 = ring.modulus.payload, f.target.modulus.payload
     # (element, payload, payload of its image); reduced payloads are
     # canonical, and a sum of two needs no reduction
@@ -199,8 +199,7 @@ def exhaustive_morphism_check(f):
         return padd(fx, fy) == images[padd(x, y)]
 
     def muls(x, fx, y, fy):
-        return (pdivmod(pmul(fx, fy), m2)[1]
-                == images[pdivmod(pmul(x, y), m1)[1]])
+        return prem(pmul(fx, fy), m2) == images[prem(pmul(x, y), m1)]
 
     basis = [(y, images[y]) for y in _prime_basis(field, ring.dimension)]
     if not (all(adds(x, fx, *e) for _, x, fx in table for e in basis)

@@ -26,6 +26,7 @@ F9 = L.ExtensionField(F3, (1, 0, 1))
 F4 = L.parse_field("F2[x]/(x^2+x+1)")
 F5 = L.PrimeField(5)
 F7 = L.PrimeField(7)
+F11 = L.PrimeField(11)
 
 
 def P(field, text):
@@ -145,23 +146,73 @@ def per_degree_residue_isomorphisms(p1, p2, sigma=L.IDENTITY):
     return tuple(found)
 
 
-@pytest.mark.parametrize("field, degree, sigma", [
-    (F2, 2, L.IDENTITY), (F2, 3, L.IDENTITY), (F2, 4, L.IDENTITY),
-    (F3, 2, L.IDENTITY), (F3, 3, L.IDENTITY), (F4, 2, L.frobenius(1)),
-    (F4, 3, L.frobenius(1)), (F9, 2, L.IDENTITY), (F9, 2, L.frobenius(1)),
-    (F5, 2, L.IDENTITY), (F7, 2, L.IDENTITY),
+def _sample(pairs, count, seed=0):
+    """Every pair up to ``count``, a seeded sample of ``count`` beyond."""
+    pairs = list(pairs)
+    if len(pairs) > count:
+        pairs = random.Random(seed).sample(pairs, count)
+    return pairs
+
+
+def _check_against_per_degree_search(pairs, sigma, deadline):
+    # cold, so that each pair is split again; a split that never ends fails
+    L.find_residue_isomorphisms.cache_clear()
+    with deadline(10):
+        for p1, p2 in pairs:
+            assert (L.find_residue_isomorphisms(p1, p2, sigma)
+                    == per_degree_residue_isomorphisms(p1, p2, sigma))
+
+
+@pytest.mark.parametrize("field, degree, sigma, count", [
+    (F2, 2, L.IDENTITY, 64), (F2, 3, L.IDENTITY, 64), (F2, 4, L.IDENTITY, 64),
+    (F3, 2, L.IDENTITY, 64), (F3, 3, L.IDENTITY, 64),
+    (F4, 2, L.frobenius(1), 64), (F4, 3, L.frobenius(1), 64),
+    (F9, 2, L.IDENTITY, 64), (F9, 2, L.frobenius(1), 64),
+    (F5, 2, L.IDENTITY, 64), (F7, 2, L.IDENTITY, 64),
+    (F11, 2, L.IDENTITY, 64), (F3, 4, L.IDENTITY, 16),
 ], ids=["F2-d2", "F2-d3", "F2-d4", "F3-d2", "F3-d3", "F4-d2-frob",
-        "F4-d3-frob", "F9-d2", "F9-d2-frob", "F5-d2", "F7-d2"])
-def test_find_residue_isomorphisms_matches_per_degree_search(field, degree,
-                                                             sigma):
-    # every pair up to 64 (F3 d3), a seeded sample of 64 beyond that
-    pairs = list(itertools.product(L.enumerate_irreducibles(field, degree),
-                                   repeat=2))
-    if len(pairs) > 64:
-        pairs = random.Random(0).sample(pairs, 64)
-    for p1, p2 in pairs:
-        assert (L.find_residue_isomorphisms(p1, p2, sigma)
-                == per_degree_residue_isomorphisms(p1, p2, sigma))
+        "F4-d3-frob", "F9-d2", "F9-d2-frob", "F5-d2", "F7-d2", "F11-d2",
+        "F3-d4"])
+def test_find_residue_isomorphisms_matches_per_degree_search(
+        field, degree, sigma, count, deadline):
+    pairs = itertools.product(L.enumerate_irreducibles(field, degree),
+                              repeat=2)
+    _check_against_per_degree_search(_sample(pairs, count), sigma, deadline)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_find_residue_isomorphisms_splits_opposite_roots(p, deadline):
+    # -1 is a square mod 5 and mod 13, so the roots +-alpha of x^2+c have
+    # traces t and -t of one quadratic character: the split needs its
+    # random shift of the trace to tell them apart
+    field = L.PrimeField(p)
+    polys = [f for f in L.enumerate_irreducibles(field, 2)
+             if f.coeff(1).is_zero()]
+    assert len(polys) == (p - 1) // 2
+    _check_against_per_degree_search(itertools.product(polys, repeat=2),
+                                     L.IDENTITY, deadline)
+
+
+@pytest.mark.parametrize("field, p1, p2, powering_products", [
+    (F3, "x^6+2*x+2", "x^6+x^5+2", 643), (F7, "x^3+3", "x^3+x+1", 326),
+], ids=["F3-d6", "F7-d3"])
+def test_find_residue_isomorphisms_work(monkeypatch, field, p1, p2,
+                                        powering_products):
+    # Cantor-Zassenhaus powering over L2 = F_p[X]/(P2) takes 643 and 326
+    # products in L2 on these pairs; the trace splitting, whose Frobenius
+    # powers are products over F_p, takes a third of that at most
+    calls = []
+    mul = L.ExtensionField._mul
+
+    def counting(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    p1, p2 = P(field, p1), P(field, p2)
+    monkeypatch.setattr(L.ExtensionField, "_mul", counting)
+    L.find_residue_isomorphisms.cache_clear()
+    assert len(L.find_residue_isomorphisms(p1, p2)) == p1.degree
+    assert 0 < len(calls) <= powering_products // 3
 
 
 def test_find_residue_isomorphisms_ignores_global_random_state():
@@ -206,12 +257,9 @@ def test_find_residue_isomorphisms_refuses_infinite_before_degrees():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("sigma", [L.IDENTITY, L.frobenius(1)], ids=str)
 def test_find_residue_isomorphisms_returns_degree_many(field, degree, sigma):
-    # every pair up to 64, a seeded sample of 64 beyond that
-    pairs = list(itertools.product(L.enumerate_irreducibles(field, degree),
-                                   repeat=2))
-    if len(pairs) > 64:
-        pairs = random.Random(degree).sample(pairs, 64)
-    for p1, p2 in pairs:
+    pairs = itertools.product(L.enumerate_irreducibles(field, degree),
+                              repeat=2)
+    for p1, p2 in _sample(pairs, 64, seed=degree):
         found = L.find_residue_isomorphisms(p1, p2, sigma)
         assert len(found) == len({f.q_image for f in found}) == degree
         assert all((f.source.p, f.target.p, f.sigma) == (p1, p2, sigma)

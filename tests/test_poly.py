@@ -161,6 +161,41 @@ def test_fraction_kernels_agree_with_generic_kernel(F):
                 Field._pdivmod(F, a, b)
 
 
+F4 = L.ExtensionField(F2, (1, 1, 1))
+TOWER = L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b")
+
+
+@pytest.mark.parametrize("F", [F2, F3, L.PrimeField(7), Q, F2T, F3T, F4,
+                               TOWER], ids=repr)
+def test_prem_is_the_remainder_of_pdivmod(F):
+    # F_p, Q and F_p(t) divide without building the quotient when only the
+    # remainder is asked for
+    zero, one = F._from_int(0), F._from_int(1)
+    rng = random.Random(repr(F))
+
+    def rand(n, lead=False):
+        # n coefficients, the last one nonzero when ``lead``
+        out = [F.random_payload(rng) for _ in range(n)]
+        while lead and n and F._is_zero(out[-1]):
+            out[-1] = F.random_payload(rng)
+        return F._ptrim(out)
+
+    cases = [((), (one,)), ((one,), (one, one)), ((one, zero, zero),
+             (one, one, one, one)), ((one, one, one), (one, one))]
+    for _ in range(200):
+        nb = rng.randint(1, 5)
+        # dividends shorter than, as long as and longer than the divisor
+        cases.append((rand(rng.randint(0, 9)), rand(nb, lead=True)))
+        cases.append((rand(nb - 1), rand(nb, lead=True)))
+    # every divisor over F2 is monic
+    assert F == F2 or any(b[-1] != one for _, b in cases)
+    for a, b in cases:
+        assert F._prem(a, b) == F._pdivmod(a, b)[1]
+    for a in ((), (one,), (one, one)):
+        with pytest.raises(DivisionByZero):
+            F._prem(a, ())
+
+
 def test_poly_stores_payloads_and_boxes_coefficients():
     F4 = L.ExtensionField(F2, (1, 1, 1))
     a = P(F4, "a*x+1")
