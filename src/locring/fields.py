@@ -13,20 +13,27 @@ is equality of payloads.  Supported fields:
 
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
-add and multiply up to composition and powering, uses the field's own scalar
-ops.  ``PrimeField`` replaces its add, multiply, divide (and ``_prem``, the
-remainder alone, building no quotient), gcd (Euclid on remainders alone) and
-linear combination ``_pdot`` with plain int loops.  The fraction fields
-``Rationals`` and ``RationalFunctionField`` share their scalar ops, on pairs
-over Z or F_p[t], with Henrici's addition, and one multiply, divide (and
-``_prem``) and ``_pdot`` over a common denominator, normalizing each output
-coefficient once (a divisor whose cleared leading coefficient is not a unit
-takes the generic loop).  Together these took the benchmark's generic
-workload (Q and F2(t)) from 114 to 138 cases/s on a 2-CPU x86-64 host.
+add and multiply up to composition, powering and Euclid, uses the field's own
+scalar ops.  Division is one routine, ``_pdivide(a, b, want_quo)``, which
+builds the quotient only when asked; ``_pdivmod`` and ``_prem`` (the
+remainder alone) call it.  A field overrides a kernel loop only where that
+measures faster (cases/s lost with the override removed, in three
+alternating 5 s benchmark pairs, seed 0, 2-CPU x86-64 host, Python 3.11):
+
+  * ``PrimeField._pmul``, ``_pdivide`` and ``_pdot`` run on plain ints and
+    reduce mod p once per output coefficient (search 10-21 %; digits 6-9 %
+    and search 8-17 %; digits 3-21 %);
+  * ``_FractionField._pmul``, ``_pdivide`` and ``_pdot`` (Q and F_p(t))
+    clear the operands to numerators over one common denominator, loop in
+    Z or F_p[t] and normalize each output coefficient once (generic 0-14 %,
+    12-16 % and 0-8 %); a divisor whose cleared leading coefficient is not
+    a unit takes the generic division;
+  * an ``ExtensionField`` of order at most 32 multiplies, inverts and adds
+    by log and Zech tables (generic 24-28 %; the bound is measured there).
+
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
-``F_p[x]/(m)`` all run on it, save that an extension of order at most 32 (a
-bound measured in ``ExtensionField``) uses log and Zech tables instead.
-``FieldAutomorphism.on`` alone says how a base automorphism acts on payloads.
+``F_p[x]/(m)`` all run on this kernel.  ``FieldAutomorphism.on`` alone says
+how a base automorphism acts on payloads.
 
 Fields are immutable and hashable; elements are immutable value objects.
 """
@@ -169,6 +176,15 @@ class Field:
         return self._ptrim(out)
 
     def _pdivmod(self, a, b):
+        return self._pdivide(a, b, True)
+
+    def _prem(self, a, m):
+        """The remainder of a mod m, for callers that drop the quotient."""
+        return self._pdivide(a, m, False)[1]
+
+    def _pdivide(self, a, b, want_quo):
+        """(quotient, remainder) of a by b, building the quotient only when
+        ``want_quo`` (else it is False); the one division a field overrides."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
         db = len(b) - 1
@@ -177,22 +193,19 @@ class Field:
         monic = b[-1] == self._from_int(1)
         inv_lead = None if monic else self._inv(b[-1])
         rem = list(a)
-        quo = [self._from_int(0)] * max(len(rem) - db, 1)
+        quo = [self._from_int(0)] * max(len(rem) - db, 1) if want_quo else None
         while len(rem) > db:
             top = rem.pop()
             if self._is_zero(top):
                 continue
             k = len(rem) - db
             c = top if monic else self._mul(top, inv_lead)
-            quo[k] = c
+            if want_quo:
+                quo[k] = c
             neg_c = self._neg(c)
             for j in range(db):
                 rem[k + j] = self._add(rem[k + j], self._mul(neg_c, b[j]))
-        return self._ptrim(quo), self._ptrim(rem)
-
-    def _prem(self, a, m):
-        """The remainder of a mod m, for callers that drop the quotient."""
-        return self._pdivmod(a, m)[1]
+        return want_quo and self._ptrim(quo), self._ptrim(rem)
 
     def _pmonic(self, a):
         if not a or a[-1] == self._from_int(1):
@@ -349,23 +362,17 @@ class _FractionField(Field):
         den, reduce = mul(da, db), self._reduce
         return self._ptrim([reduce(c, den) for c in out])
 
-    def _pdivmod(self, a, b):
-        return self._pdivide(a, b, True)
-
-    def _prem(self, a, m):
-        if len(a) < len(m):
-            return self._ptrim(a)
-        return self._pdivide(a, m, False)[1]
-
     def _pdivide(self, a, b, want_quo):
-        """(quotient, remainder) of a by b; the common-denominator loop
-        builds and normalizes the quotient only when ``want_quo``."""
+        # the common-denominator loop builds and normalizes the quotient only
+        # when ``want_quo``
         if not b:
             raise DivisionByZero("polynomial division by zero")
+        if len(a) < len(b):
+            return want_quo and (), self._ptrim(a)
         bn, db = self._clear(b)
         unit = self._unit_inv(bn[-1])
         if unit is None:
-            return Field._pdivmod(self, a, b)
+            return Field._pdivide(self, a, b, want_quo)
         # scale bn to monic by the unit and db with it; then, with
         # a = an/da, an = quo*bn + rem in the numerator ring gives
         # a = (quo*db/da)*b + rem/da
@@ -504,17 +511,7 @@ class PrimeField(Field):
     def random_payload(self, rng):
         return rng.randrange(self.p)
 
-    # the polynomial kernel on plain ints, reducing mod p as late as possible;
-    # _pgcd builds no quotient, 40 % off a gcd in F2[t] of degrees 7 and 6
-    def _padd(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        p = self.p
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return self._ptrim(out)
-
+    # the polynomial kernel on plain ints, reducing mod p as late as possible
     def _pmul(self, a, b):
         if not a or not b:
             return ()
@@ -526,20 +523,12 @@ class PrimeField(Field):
         p = self.p
         return self._ptrim([c % p for c in out])
 
-    def _pdivmod(self, a, b):
-        return self._pdivide(a, b, True)
-
-    def _prem(self, a, m):
-        if len(a) < len(m):
-            return self._ptrim([c % self.p for c in a])
-        return self._pdivide(a, m, False)[1]
-
     def _pdivide(self, a, b, want_quo):
-        """(quotient, remainder) of a by b, building the quotient only
-        when ``want_quo``."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
         p = self.p
+        if len(a) < len(b):
+            return want_quo and (), self._ptrim([c % p for c in a])
         db = len(b) - 1
         monic = b[-1] == 1
         inv_lead = None if monic else pow(b[-1], -1, p)
@@ -556,27 +545,6 @@ class PrimeField(Field):
             for j in range(db):
                 rem[k + j] -= c * b[j]
         return want_quo and self._ptrim(quo), self._ptrim([c % p for c in rem])
-
-    def _pgcd(self, a, b):
-        # Euclid on remainders alone: each divisor is made monic once and
-        # the dividend reduced in place, building no quotient
-        p, a, b = self.p, list(a), list(b)
-        while b:
-            if b[-1] != 1:
-                inv = pow(b[-1], -1, p)
-                b = [c * inv % p for c in b]
-            db = len(b) - 1
-            while len(a) > db:
-                top = a.pop() % p
-                if top:
-                    k = len(a) - db
-                    for j in range(db):
-                        a[k + j] -= top * b[j]
-            a = [c % p for c in a]
-            while a and not a[-1]:
-                a.pop()
-            a, b = b, a
-        return self._pmonic(a)
 
     def _pdot(self, cs, ps):
         out = []
