@@ -35,7 +35,10 @@ alternating 5 s benchmark pairs, seed 0, 2-CPU x86-64 host, Python 3.11):
 ``F_p[x]/(m)`` all run on this kernel.  ``FieldAutomorphism.on`` alone says
 how a base automorphism acts on payloads.
 
-Fields are immutable and hashable; elements are immutable value objects.
+Fields are immutable and hashable.  Elements, polynomials, quotient rings
+and morphisms derive from ``_Frozen`` (slots; assignment raises); a
+``_RingValue`` subclass supplies ``_coerce``, ``+``, unary ``-``, ``*`` and
+``is_zero`` and gets ``-``, reflected ``+`` and ``*`` and truthiness.
 """
 
 from __future__ import annotations
@@ -792,7 +795,42 @@ class ExtensionField(Field):
 # ---------------------------------------------------------------------------
 # elements
 
-class FieldElement:
+class _Frozen:
+    """Slots, set once in ``__init__`` through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _RingValue(_Frozen):
+    """A ring element whose ``-``, reflected ``+`` and ``*`` and truthiness
+    come from its own ``_coerce`` (None for an operand it cannot read),
+    ``__add__``, ``__neg__``, ``__mul__`` and ``is_zero``."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
+class FieldElement(_RingValue):
     """Immutable element of a :class:`Field`, payload always canonical."""
 
     __slots__ = ("field", "payload")
@@ -800,9 +838,6 @@ class FieldElement:
     def __init__(self, field, payload):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def is_zero(self):
         return self.field._is_zero(self.payload)
@@ -823,28 +858,14 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.field, self.field._add(self.payload, o.payload))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.payload))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field,
-                            self.field._add(self.payload, self.field._neg(o.payload)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return FieldElement(self.field, self.field._mul(self.payload, o.payload))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -881,9 +902,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.field, self.payload))
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __str__(self):
         return self.field.format_payload(self.payload)
 
@@ -894,7 +912,7 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-class FieldAutomorphism:
+class FieldAutomorphism(_Frozen):
     """Identity or a positive power of the Frobenius x -> x^p.
 
     Frobenius powers are only valid on finite fields (F_p and simple
@@ -908,9 +926,6 @@ class FieldAutomorphism:
         if power < 0:
             raise InvalidArgument("Frobenius power must be >= 0")
         object.__setattr__(self, "power", power)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldAutomorphism is immutable")
 
     @property
     def is_identity(self):

@@ -337,7 +337,7 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     NotIrreducible when P1 or P2 is not separable or not squarefree.
     """
     derivative_inverse(p1)
-    derivative_inverse(p2)
+    dp2_inverse = derivative_inverse(p2)
     if n < 1:
         raise InvalidArgument("power must be >= 1")
     if residue_morphism is not None and (
@@ -350,11 +350,11 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         return None
     candidates = ((residue_morphism,) if residue_morphism is not None
                   else find_residue_isomorphisms(p1, p2, sigma))
-    f = pick_residue_morphism(candidates, n)
-    if lift_is_isomorphism(f, n).verdict:
-        return lift_morphism(f, n)
-    p = f.target.p
-    q_f = f.q_image % p
-    v = (1 - q_f.derivative()) * derivative_inverse(p) % p
+    for f in candidates:
+        if lift_is_isomorphism(f, n).verdict:
+            return lift_morphism(f, n)
+    f = candidates[0]
+    q_f = f.q_image % p2
+    v = (1 - q_f.derivative()) * dp2_inverse % p2
     return StabilizingMorphism(f.source.at_power(n), f.target.at_power(n),
-                               f.sigma, q_f + v * p)
+                               f.sigma, q_f + v * p2)

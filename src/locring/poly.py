@@ -42,7 +42,7 @@ def check_power(p, n):
                               f"bound {MAX_DEGREE}")
 
 
-class Poly:
+class Poly(fields._RingValue):
     """Immutable dense polynomial over one field."""
 
     __slots__ = ("field", "payload")
@@ -51,9 +51,6 @@ class Poly:
         payload = field._ptrim([field.coerce(c).payload for c in coeffs])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _of(cls, field, payload):
@@ -122,28 +119,14 @@ class Poly:
             return NotImplemented
         return Poly._of(self.field, self.field._padd(self.payload, o.payload))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly._of(self.field, self.field._pneg(self.payload))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return Poly._of(f, f._padd(self.payload, f._pneg(o.payload)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Poly._of(self.field, self.field._pmul(self.payload, o.payload))
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -204,9 +187,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.field, self.payload))
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __str__(self):
         return format_poly(self)

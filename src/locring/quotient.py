@@ -33,7 +33,7 @@ from .poly import (
 )
 
 
-class QuotientRing:
+class QuotientRing(_fields._Frozen):
     """K[X]/(P^n) for P monic irreducible, n >= 1.
 
     Irreducibility is verified over finite fields, holds for every linear
@@ -54,9 +54,6 @@ class QuotientRing:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", p ** n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientRing is immutable")
 
     @property
     def dimension(self):
@@ -114,7 +111,7 @@ class QuotientRing:
         return f"{self.field}[x]/(({format_poly(self.p)})^{self.n})"
 
 
-class QuotientElement:
+class QuotientElement(_fields._RingValue):
     """Element of a QuotientRing, representative reduced mod the modulus."""
 
     __slots__ = ("ring", "rep")
@@ -122,9 +119,6 @@ class QuotientElement:
     def __init__(self, ring, rep):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, QuotientElement):
@@ -142,27 +136,14 @@ class QuotientElement:
             return NotImplemented
         return self.ring.element(self.rep + o.rep)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.ring.element(-self.rep)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.element(self.rep - o.rep)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.ring.element(self.rep * o.rep)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -198,9 +179,6 @@ class QuotientElement:
     def __hash__(self):
         return hash((self.ring, self.rep))
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __str__(self):
         return format_poly(self.rep)
 
@@ -208,7 +186,7 @@ class QuotientElement:
         return f"<{self} in {self.ring}>"
 
 
-class StabilizingMorphism:
+class StabilizingMorphism(_fields._Frozen):
     """Ring morphism between quotient rings given by (sigma, image of X).
 
     The constructor stores ``images``, the payloads of q^0..q^D mod the target
@@ -261,9 +239,6 @@ class StabilizingMorphism:
         if act is not None:
             x = [act(c) for c in x]
         return f._pdot(x, self.images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizingMorphism is immutable")
 
     @classmethod
     def identity(cls, ring):

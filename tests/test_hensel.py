@@ -251,6 +251,20 @@ def test_digits_outside_the_residue_field_are_refused():
             ResidueDigits(ring=ring, digits=digits)
 
 
+def test_from_digits_rejects_a_wrong_number_of_digits():
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 3)
+    digits = L.to_digits(ring.gen()).digits
+    with pytest.raises(ValueError, match="expected 3 digits, got 2"):
+        L.from_digits(ResidueDigits(ring=ring, digits=digits[:2]))
+
+
+def test_digits_mul_rejects_two_rings():
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 3)
+    d2, d3 = L.to_digits(ring.at_power(2).gen()), L.to_digits(ring.gen())
+    with pytest.raises(ValueError, match="different rings"):
+        digits_mul(d2, d3)
+
+
 def test_to_digits_keeps_its_exactness_check(monkeypatch):
     # X -> X + 1 is not a section, so a - embed(a_0) is not divisible by P
     ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)

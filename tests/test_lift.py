@@ -8,6 +8,7 @@ import locring as L
 from locring import poly
 from locring.errors import (
     DegreeMismatch,
+    InvalidArgument,
     NotAMorphism,
     NotIrreducible,
     NotSeparable,
@@ -78,6 +79,12 @@ def test_residue_morphism_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         L.residue_morphism_from_Q(P(F3, "x^2+1"), P(F3, "x^3+2*x+1"),
                                   L.IDENTITY, Poly.x(F3))
+
+
+def test_residue_morphism_rejects_an_unreduced_x_image():
+    with pytest.raises(DegreeMismatch, match="degree < 2"):
+        L.residue_morphism_from_Q(P(F3, "x^2+1"), P(F3, "x^2+x+2"),
+                                  L.IDENTITY, P(F3, "x^2+x+2"))
 
 
 def test_residue_morphism_rejects_constant_at_degree_2():
@@ -353,6 +360,28 @@ def test_lift_criteria_reject_constant_q_f(criterion, deadline):
         criterion(f)
 
 
+def test_criteria_compute_the_cofactor_when_none_is_stored():
+    p = P(F2, "x^3+x+1")
+    injective = set()
+    for f in L.find_residue_isomorphisms(p, p):
+        g = L.StabilizingMorphism.from_json(f.to_json())
+        assert f.s_cert is not None and g.s_cert is None
+        for n in (2, 3):
+            report = L.lift_is_isomorphism(g, n)
+            assert report == L.lift_is_isomorphism(f, n)
+            injective.add(report.verdict)
+            if not report.verdict:
+                assert kernel_witness(g, n) == kernel_witness(f, n)
+    assert injective == {True, False}
+
+
+def test_kernel_witness_rejects_level_1_and_injective_lifts():
+    with pytest.raises(ValueError, match="n >= 2"):
+        kernel_witness(frob_f2(), 1)
+    with pytest.raises(ValueError, match="injective"):
+        kernel_witness(cross_f3(), 2)
+
+
 def test_functoriality_with_projections():
     f = cross_f3()
     f3_lift = L.lift_morphism(f, 3)
@@ -431,6 +460,13 @@ def test_roots_bijection_rejects_a_non_morphism():
     assert not report.passed and report.n_roots == 2
 
 
+def test_roots_bijection_requires_a_finite_field():
+    ring = L.QuotientRing(P(Q, "x^2-2"), 1, assume_irreducible=True)
+    f = L.StabilizingMorphism(ring, ring, L.IDENTITY, P(Q, "-x"))
+    with pytest.raises(UnsupportedField):
+        L.roots_bijection_check(f)
+
+
 # -- full pipeline ----------------------------------------------------------
 
 def test_rings_isomorphic_cross_f3():
@@ -438,6 +474,11 @@ def test_rings_isomorphic_cross_f3():
     assert iso is not None
     assert iso.q_image % iso.target.p == P(F3, "2*x+1")  # first lex candidate
     assert L.certify_isomorphism(iso)
+
+
+def test_rings_isomorphic_rejects_power_0():
+    with pytest.raises(InvalidArgument):
+        L.rings_isomorphic_separable(P(F3, "x^2+1"), P(F3, "x^2+x+2"), 0)
 
 
 def test_rings_isomorphic_degree_mismatch():
