@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .errors import (InexactDivision, NotIrreducible, NotMonic, NotSeparable,
                      RingMismatch)
 from .fields import IDENTITY
-from .poly import Poly, check_power, exact_div, ext_gcd, format_poly
+from .poly import (Poly, check_irreducible, check_power, exact_div, ext_gcd,
+                   format_poly)
 from .quotient import QuotientElement, QuotientRing, StabilizingMorphism
 
 
@@ -87,10 +88,9 @@ def hensel_root_series(p, k):
 
 def embed_residue_field(p, k, assume_irreducible=False):
     """The section K[X]/(P) -> K[X]/(P^k) given by X -> U, built once per
-    (P, k); unless ``assume_irreducible``, QuotientRing's check of P runs."""
+    (P, k); unless ``assume_irreducible``, P is checked irreducible."""
     embed = _embedding(p, k)
-    if not assume_irreducible:
-        QuotientRing(p, 1)
+    check_irreducible(p, assume_irreducible)
     return embed
 
 

@@ -5,10 +5,15 @@ ascending degree order with no trailing zeros; the zero polynomial has an
 empty payload tuple and degree -1.  All arithmetic runs on the field's
 payload kernel, and ``coeffs``, ``coeff`` and ``leading`` box payloads into
 ``FieldElement`` values on the way out.
+
+The input side does each piece of work once: ``enumerate_irreducibles`` is
+a sieve, ``is_irreducible`` (Ben-Or's test) keeps a bounded cache, and the
+parser evaluates on kernel payloads and builds one ``Poly`` at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -98,9 +103,6 @@ class Poly(fields._RingValue):
         if 0 <= i < len(self.payload):
             return fields.FieldElement(self.field, self.payload[i])
         return self.field.zero()
-
-    def is_constant(self):
-        return len(self.payload) <= 1
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -228,11 +230,13 @@ def apply_automorphism_to_poly(sigma, a):
 # ---------------------------------------------------------------------------
 # irreducibility over finite fields
 
+@functools.lru_cache(maxsize=1024)
 def is_irreducible(a):
     """True iff a is irreducible over its (finite) coefficient field.
 
     Checks gcd(a, X^(q^i) - X) = 1 for i <= deg(a)/2; a polynomial of
-    degree d is reducible iff it has an irreducible factor of degree <= d/2.
+    degree d is reducible iff it has an irreducible factor of degree <= d/2
+    (Ben-Or's test).  The last 1,024 answers are cached.
     """
     field = a.field
     if not field.is_finite():
@@ -267,26 +271,52 @@ def check_irreducible(p, assume_irreducible):
         raise NotIrreducible(f"{p} is reducible over {p.field}")
 
 
+def _payloads(field, degree, monic=True):
+    # the counting order: lexicographic on the ascending coefficient
+    # vector, constant term most significant
+    elems = [c.payload for c in field.elements()]
+    leads = ([field._from_int(1)] if monic
+             else [c for c in elems if not field._is_zero(c)])
+    for lower in itertools.product(elems, repeat=degree):
+        for lead in leads:
+            yield lower + (lead,)
+
+
 def enumerate_polys(field, degree, monic=True):
     """All polynomials of exact degree ``degree`` in counting order
     (lexicographic on the ascending coefficient vector, constant term most
     significant)."""
-    elems = list(field.elements())
-    nonzero = [e for e in elems if not e.is_zero()]
-    leads = [field.one()] if monic else nonzero
-    for lower in itertools.product(elems, repeat=degree):
-        for lead in leads:
-            yield Poly(field, lower + (lead,))
+    return (Poly._of(field, a) for a in _payloads(field, degree, monic))
 
 
 def enumerate_irreducibles(field, degree):
-    """All monic irreducible polynomials of exact degree over a finite field."""
+    """All monic irreducible polynomials of exact degree d over a finite
+    field, in counting order, by the sieve (Lidl and Niederreiter, *Finite
+    Fields*, ch. 3): each product of a monic irreducible of degree <= d/2 and
+    a monic cofactor is marked, and the unmarked of the q^d candidates, one
+    byte each and charged against MAX_TABLE_WORK first, are returned."""
     if not field.is_finite():
         raise UnsupportedField(
             f"cannot enumerate irreducibles over {field}")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return [p for p in enumerate_polys(field, degree) if is_irreducible(p)]
+    q = field.order()
+    # q >= 2, so a degree past log2 of the bound passes it too
+    if degree > MAX_TABLE_WORK.bit_length() or q ** degree > MAX_TABLE_WORK:
+        raise InvalidArgument(
+            f"enumerating degree {degree} over {field} sieves q^d = "
+            f"{q}^{degree} candidates, past the work bound {MAX_TABLE_WORK}")
+    index = {c.payload: i for i, c in enumerate(field.elements())}
+    reducible = bytearray(q ** degree)
+    for e in range(1, degree // 2 + 1):
+        for f in enumerate_irreducibles(field, e):
+            for g in _payloads(field, degree - e):
+                i = 0
+                for c in field._pmul(f.payload, g)[:-1]:
+                    i = i * q + index[c]
+                reducible[i] = 1
+    return [Poly._of(field, a) for a, marked
+            in zip(_payloads(field, degree), reducible) if not marked]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +365,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}, got {text!r}")
 
     def parse_expr(self):
+        f = self.field
         node = self.parse_term()
         while True:
             kind, text = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
                 rhs = self.parse_term()
-                node = node + rhs if text == "+" else node - rhs
+                node = f._padd(node, rhs if text == "+" else f._pneg(rhs))
             else:
                 return node
 
@@ -354,10 +385,10 @@ class _Parser:
                 start = self.i
                 rhs = self.parse_factor()
                 if text == "*":
-                    if node.degree + rhs.degree > MAX_DEGREE:
+                    if len(node) + len(rhs) - 2 > MAX_DEGREE:
                         raise ParseError("a product raises the degree above "
                                          f"the bound {MAX_DEGREE}")
-                    node = node * rhs
+                    node = self.field._pmul(node, rhs)
                 else:
                     spelled = "".join(t for _, t in self.tokens[start:self.i])
                     node = self._divide(node, rhs, spelled)
@@ -365,29 +396,31 @@ class _Parser:
                 return node
 
     def _divide(self, a, b, spelled):
-        if not b.is_constant():
+        if len(b) > 1:
             raise ParseError(
                 f"division by non-constant polynomial '{spelled}' "
                 "is not supported")
-        if b.is_zero():
+        if not b:
             raise ParseError(
                 f"cannot divide by '{spelled}': it is zero over {self.field}")
         try:
-            inv = b.coeffs[0] ** (-1)
+            inv = self.field._inv(b[0])
         except DivisionByZero:
             raise ParseError(
                 f"'{spelled}' is not invertible over {self.field}") from None
-        return a * inv
+        return self.field._pmul(a, (inv,))
 
     def parse_factor(self):
         kind, text = self.peek()
         if kind == "op" and text in "+-":
             self.next()
             node = self.parse_factor()
-            return node if text == "+" else -node
+            return node if text == "+" else self.field._pneg(node)
         return self.parse_power()
 
     def parse_power(self):
+        f = self.field
+        monomial = self.peek() == ("name", self.var)
         node = self.parse_atom()
         kind, text = self.peek()
         if kind == "op" and text == "^":
@@ -397,26 +430,29 @@ class _Parser:
                 raise ParseError(f"expected integer exponent, got {text!r}")
             # the length test keeps int() off arbitrarily long digit strings
             if (len(text) > len(str(MAX_DEGREE))
-                    or max(node.degree, 1) * int(text) > MAX_DEGREE):
+                    or max(len(node) - 1, 1) * int(text) > MAX_DEGREE):
                 raise ParseError(f"^{text} raises the degree above the "
                                  f"bound {MAX_DEGREE}")
-            return node ** int(text)
+            if monomial:  # x^e is X^e, with no products
+                return (f._from_int(0),) * int(text) + (f._from_int(1),)
+            return f._ppow(node, int(text))
         return node
 
     def parse_atom(self):
+        f = self.field
         kind, text = self.next()
         if kind == "int":
             try:
-                return Poly(self.field, (fields._parse_int(text),))
+                return f._ptrim((f._from_int(fields._parse_int(text)),))
             except DivisionByZero:
-                raise ParseError(f"invalid coefficient '{text}' over {self.field}")
+                raise ParseError(f"invalid coefficient '{text}' over {f}")
         if kind == "name":
             if text == self.var:
-                return Poly.x(self.field)
+                return (f._from_int(0), f._from_int(1))
             gen = self._field_generator(text)
             if gen is not None:
-                return Poly(self.field, (gen,))
-            raise ParseError(f"unknown symbol {text!r} over {self.field}")
+                return (gen.payload,)
+            raise ParseError(f"unknown symbol {text!r} over {f}")
         if kind == "op" and text == "(":
             node = self.parse_expr()
             self.expect_op(")")
@@ -444,7 +480,7 @@ def parse_poly(field, text, var="x"):
     kind, tok = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting at {tok!r}")
-    return node
+    return Poly._of(field, node)
 
 
 def parse_element(field, text):

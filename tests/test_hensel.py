@@ -4,7 +4,8 @@ import pytest
 
 import locring as L
 from locring import hensel
-from locring.errors import InexactDivision, NotSeparable, RingMismatch
+from locring.errors import (InexactDivision, NotIrreducible, NotMonic,
+                            NotSeparable, RingMismatch)
 from locring.hensel import (
     ResidueDigits,
     _embedding,
@@ -140,6 +141,19 @@ def test_embed_is_ring_morphism_sampled():
         assert f(a + b) == f(a) + f(b)
         assert f(a * b) == f(a) * f(b)
 
+
+
+def test_embed_checks_irreducibility_after_the_embedding():
+    # x^2+2 = (x+1)(x+2) over F3 is separable, so the root series exists and
+    # only the irreducibility check rejects it
+    with pytest.raises(NotIrreducible):
+        L.embed_residue_field(P(F3, "x^2+2"), 2)
+    L.embed_residue_field(P(F3, "x^2+2"), 2, assume_irreducible=True)
+    # the embedding's own checks still come first
+    with pytest.raises(NotMonic):
+        L.embed_residue_field(P(F3, "2*x^2+1"), 2)
+    with pytest.raises(NotSeparable):
+        L.embed_residue_field(P(F2T, "x^2+t"), 2)
 
 # -- digits -----------------------------------------------------------------
 

@@ -7,11 +7,12 @@ import locring as L
 from locring.errors import (
     DivisionByZero,
     InexactDivision,
+    InvalidArgument,
     ParseError,
     UnsupportedField,
 )
 from locring.fields import Field, FieldElement
-from locring.poly import Poly, enumerate_polys
+from locring.poly import MAX_TABLE_WORK, Poly, enumerate_polys
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
@@ -334,10 +335,47 @@ def _necklace_count(q, d):
     return total // d
 
 
-@pytest.mark.parametrize("field,q", [(F2, 2), (F3, 3)])
+F5 = L.PrimeField(5)
+F7 = L.PrimeField(7)
+F9 = L.ExtensionField(F3, (1, 0, 1))
+
+
+@pytest.mark.parametrize("field,q", [(F2, 2), (F3, 3), (F5, 5), (F7, 7),
+                                     (F4, 4), (F9, 9)])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_irreducible_counts(field, q, d):
     assert len(L.enumerate_irreducibles(field, d)) == _necklace_count(q, d)
+
+
+@pytest.mark.parametrize("field,max_degree", [
+    (F2, 8), (F3, 5), (F5, 3), (F7, 3), (F4, 3), (F9, 3), (TOWER, 2)],
+    ids=repr)
+def test_sieve_matches_the_irreducibility_test_in_order(field, max_degree):
+    for d in range(1, max_degree + 1):
+        assert L.enumerate_irreducibles(field, d) == [
+            p for p in enumerate_polys(field, d) if L.is_irreducible(p)]
+
+
+def test_enumeration_is_charged_before_allocating():
+    assert 2 ** 25 > MAX_TABLE_WORK
+    for d in (25, 10 ** 9):
+        with pytest.raises(InvalidArgument, match="work bound"):
+            L.enumerate_irreducibles(F2, d)
+
+
+def test_irreducibility_cache_is_bounded():
+    assert isinstance(L.is_irreducible.cache_info().maxsize, int)
+
+
+def test_a_modulus_is_decided_once_per_process():
+    p = P(F3, "x^3+2*x+1")
+    L.is_irreducible.cache_clear()
+    L.find_residue_isomorphisms.cache_clear()
+    for n in range(1, 5):
+        L.QuotientRing(p, n)
+    L.find_residue_isomorphisms(p, p)
+    info = L.is_irreducible.cache_info()
+    assert info.misses == 1 and info.hits >= 5
 
 
 def test_enumerate_polys_brute_force_agrees():
@@ -370,6 +408,23 @@ def test_parse_rejects_unknown_symbol():
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         L.parse_poly(F3, "x^2 + 1 )")
+
+
+def test_parse_power_pins():
+    assert P(F3, "x^0") == Poly.one(F3)
+    assert P(Q, "x^1024") == Poly(Q, (0,) * 1024 + (1,))
+    with pytest.raises(ParseError, match="1025 raises the degree"):
+        P(Q, "x^1025")
+    assert P(F3, "(x+1)^3") == Poly(F3, (1, 0, 0, 1))
+    assert P(Q, "(x+1)^3") == Poly(Q, (1, 3, 3, 1))
+
+
+def test_parse_division_pins():
+    with pytest.raises(ParseError,
+                       match=r"non-constant polynomial '\(x\+1\)'"):
+        P(Q, "x/(x+1)")
+    with pytest.raises(ParseError, match="cannot divide by '0': it is zero"):
+        P(F3, "1/0")
 
 
 def test_parse_element():

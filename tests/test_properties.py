@@ -1,7 +1,8 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
-p in {2, 3, 5}, the gcd of the F_p kernel, and the two-stage morphism law
-of ``exhaustive_morphism_check`` against the pair-by-pair reference, on
-inputs that Hypothesis draws.  Hypothesis is a test-only dependency;
+p in {2, 3, 5}, the gcd of the F_p kernel, the two-stage morphism law of
+``exhaustive_morphism_check`` against the pair-by-pair reference, and the
+payload parser against ``Poly`` arithmetic, on inputs that Hypothesis
+draws.  Hypothesis is a test-only dependency;
 without it the module is skipped."""
 
 import pytest
@@ -138,3 +139,89 @@ def law_cases(draw):
 @given(law_cases())
 def test_two_stage_law_matches_the_pair_by_pair_reference(f):
     assert exhaustive_morphism_check(f) == objectwise_morphism_check(f)
+
+
+F4 = L.ExtensionField(L.PrimeField(2), (1, 1, 1))
+F2T = FUNCTION_FIELDS[2]
+# nonzero constants to divide by, as text and as field elements
+DIVISORS = {
+    L.PrimeField(3): [("2", 2), ("4", 4)],
+    Q: [("3", 3), ("12", 12), ("(1/2)", Q.one() / 2)],
+    F2T: [("t", F2T.gen()), ("(t+1)", F2T.gen() + 1), ("t^2", F2T.gen() ** 2)],
+    F4: [("a", F4.gen()), ("(a+1)", F4.gen() + 1)],
+}
+# binding strength of each node kind: a sum binds loosest, an atom tightest
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _trees(field):
+    leaves = [st.tuples(st.just("int"), st.integers(0, 12)), st.just(("x",))]
+    if field in (F2T, F4):
+        leaves.append(st.just(("gen",)))
+    leaf = st.one_of(leaves)
+    tree = leaf
+    for _ in range(4):  # nesting <= 4
+        tree = st.one_of(
+            leaf,
+            st.tuples(st.sampled_from("+-*"), tree, tree),
+            st.tuples(st.just("/"), tree, st.sampled_from(DIVISORS[field])),
+            st.tuples(st.just("neg"), tree),
+            st.tuples(st.just("^"), tree, st.integers(0, 4)))
+    return tree
+
+
+def _render(field, node, min_prec=0):
+    """Text of a tree with only the parentheses that the grammar needs."""
+    kind = node[0]
+    if kind == "int":
+        text = str(node[1])
+    elif kind == "x":
+        text = "x"
+    elif kind == "gen":
+        text = "t" if field == F2T else "a"
+    elif kind == "neg":
+        text = "-" + _render(field, node[1], 3)
+    elif kind == "^":
+        text = f"{_render(field, node[1], 5)}^{node[2]}"
+    elif kind == "/":
+        text = f"{_render(field, node[1], 2)}/{node[2][0]}"
+    else:
+        prec = PRECEDENCE[kind]
+        text = (_render(field, node[1], prec) + kind
+                + _render(field, node[2], prec + 1))
+    if PRECEDENCE.get(kind, 5) < min_prec:
+        return f"({text})"
+    return text
+
+
+def _evaluate(field, node):
+    kind = node[0]
+    if kind == "int":
+        return Poly(field, (node[1],))
+    if kind == "x":
+        return Poly.x(field)
+    if kind == "gen":
+        return Poly(field, (field.gen(),))
+    a = _evaluate(field, node[1])
+    if kind == "neg":
+        return -a
+    if kind == "^":
+        return a ** node[2]
+    if kind == "/":
+        return a * field.coerce(node[2][1]) ** -1
+    b = _evaluate(field, node[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@st.composite
+def expressions(draw):
+    field = draw(st.sampled_from(list(DIVISORS)))
+    return field, draw(_trees(field))
+
+
+@SETTINGS
+@given(expressions())
+def test_parse_poly_evaluates_like_poly_arithmetic(case):
+    field, tree = case
+    text = _render(field, tree)
+    assert L.parse_poly(field, text) == _evaluate(field, tree), text
