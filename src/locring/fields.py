@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import string
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -111,6 +112,7 @@ class Field:
     """Abstract base: exact arithmetic on canonical payloads."""
 
     char = None
+    _gen_names = ()  # an extension's generator name and those below it
 
     # subclasses implement payload-level ops
     def _add(self, a, b):
@@ -660,6 +662,8 @@ class ExtensionField(Field):
     residue field of a modulus over F4).  Irreducibility of the minimal
     polynomial is verified over a finite base unless the caller asserts it
     (``assume_irreducible=True``), and must be caller-asserted over Q.
+    The generator is named ``gen``, by default the first letter from ``a``
+    that no field below names its generator, so a tower prints apart.
 
     An element is its remainder mod m as a kernel payload over the base,
     the payload of a ``Poly`` and of a ``QuotientRing(m, 1)`` element.
@@ -673,7 +677,7 @@ class ExtensionField(Field):
     """
     _TABLE_ORDER = 32
 
-    def __init__(self, base, min_coeffs, gen="a", assume_irreducible=False):
+    def __init__(self, base, min_coeffs, gen=None, assume_irreducible=False):
         if not (isinstance(base, (PrimeField, Rationals))
                 or isinstance(base, ExtensionField) and base.is_finite()):
             raise UnsupportedField(f"extensions of {base} are not supported")
@@ -686,7 +690,9 @@ class ExtensionField(Field):
         self.min_coeffs = min_coeffs
         self._m = tuple(c.payload for c in min_coeffs)
         self.degree = len(min_coeffs) - 1
-        self.gen_name = gen
+        self.gen_name = gen or next(c for c in string.ascii_lowercase
+                                    if c not in base._gen_names)
+        self._gen_names = base._gen_names + (self.gen_name,)
         self.char = base.char
         from .poly import Poly, check_irreducible
         check_irreducible(Poly(base, min_coeffs), assume_irreducible)

@@ -10,9 +10,9 @@ Over a finite field F_q the residue morphisms are found by root finding:
 their X-images are the roots of sigma^X(P1) in L2 = F_q[X]/(P2).  One root
 comes from Berlekamp's trace splitting, with the Frobenius powers of Y
 modulo sigma^X(P1) computed once over F_q, where its coefficients lie; the
-others are its Frobenius orbit, and each is then certified with its
-cofactor S_f.  At degree 1 the one root is sigma(c1), c1 the root of P1,
-over every field.
+others are its Frobenius orbit, and each is certified once, by the morphism
+constructor.  S_f is a property of the morphism, computed when it is read.
+At degree 1 the one root is sigma(c1), c1 the root of P1, over every field.
 """
 
 from __future__ import annotations
@@ -31,29 +31,28 @@ from .errors import (
     RingMismatch,
     UnsupportedField,
 )
-from .fields import IDENTITY, ExtensionField, FieldElement, frobenius
+from .fields import IDENTITY, ExtensionField, frobenius
 from .hensel import derivative_inverse
 from .poly import Poly, apply_automorphism_to_poly, format_poly, gcd
 from .quotient import QuotientRing, StabilizingMorphism
 
 
-def _residue_cofactor(p1, p2, sigma, q):
-    """S_f with sigma^X(P1) o q = S_f * P2; NotAMorphism names the remainder
-    when P2 does not divide."""
-    s, rem = divmod(apply_automorphism_to_poly(sigma, p1).compose(q), p2)
-    if not rem.is_zero():
-        raise NotAMorphism(
-            f"x -> {format_poly(q)} is not a morphism: remainder "
-            f"{format_poly(rem)}", witness=rem)
-    return s
+def _residue_morphism(source, target, sigma, q):
+    """The level-1 morphism with X-image q; NotAMorphism, with the remainder
+    of sigma^X(P1)(q) mod P2 as witness, when q is not an X-image."""
+    try:
+        return StabilizingMorphism(source, target, sigma, q)
+    except NotWellDefined as e:
+        raise NotAMorphism(f"not a residue morphism: {e}",
+                           witness=e.witness) from e
 
 
 def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
     """Level-1 morphism K[X]/(P1) -> K[X]/(P2) from a candidate X-image.
 
-    Verifies that sigma^X(P1) o Q is divisible by P2 and stores the exact
-    cofactor S_f.  A level-1 morphism between the residue fields is
-    automatically injective and hence (equal dimensions) an isomorphism.
+    The constructor certifies that P2 divides sigma^X(P1) o Q (NotAMorphism
+    names the remainder otherwise).  A level-1 morphism between the residue
+    fields is injective, hence (equal dimensions) an isomorphism.
     At degree 1 the X-image is the constant sigma(c1), c1 the root of P1;
     at higher degree no constant passes.
     """
@@ -63,10 +62,9 @@ def residue_morphism_from_Q(p1, p2, sigma, q, assume_irreducible=False):
             f"deg {format_poly(p2)}")
     if q.degree >= p2.degree:
         raise DegreeMismatch(f"X-image must have degree < {p2.degree}")
-    s = _residue_cofactor(p1, p2, sigma, q)
     source = QuotientRing(p1, 1, assume_irreducible=assume_irreducible)
     target = QuotientRing(p2, 1, assume_irreducible=assume_irreducible)
-    return StabilizingMorphism(source, target, sigma, q, s_cert=s)
+    return _residue_morphism(source, target, sigma, q)
 
 
 def _split_root(ext, s, rng):
@@ -104,13 +102,12 @@ def _split_root(ext, s, rng):
     return ext._neg(r[0])
 
 
-def _frobenius_orbit(a, q, d):
-    """a, a^q, ..., a^(q^(d-1)), sorted into the field's enumeration order
-    (ascending payloads)."""
-    orbit = [a]
+def _frobenius_orbit(field, a, m, d):
+    """The payloads a^(q^i) mod m, i < d, q = |field|, in ascending order."""
+    orbit, q = [a], field.order()
     for _ in range(d - 1):
-        orbit.append(orbit[-1] ** q)
-    return sorted(orbit, key=lambda b: b.payload)
+        orbit.append(field._ppow(orbit[-1], q, m))
+    return sorted(orbit)
 
 
 def _root_vectors(p2, shifted, seed):
@@ -122,10 +119,8 @@ def _root_vectors(p2, shifted, seed):
         return [field._ptrim((field._neg(shifted.payload[0]),))]
     # QuotientRing(P2, 1) has just verified P2
     ext = ExtensionField(field, p2.coeffs, assume_irreducible=True)
-    root = FieldElement(ext, _split_root(ext, shifted.payload,
-                                         random.Random(seed)))
-    return [a.payload
-            for a in _frobenius_orbit(root, field.order(), p2.degree)]
+    root = _split_root(ext, shifted.payload, random.Random(seed))
+    return _frobenius_orbit(field, root, p2.payload, p2.degree)
 
 
 @functools.lru_cache(maxsize=128)
@@ -140,12 +135,8 @@ def _search(p1, p2, sigma):
     shifted = apply_automorphism_to_poly(sigma, p1)
     # seeded by the inputs, not by hash(), so a run repeats exactly
     seed = f"{field}|{p1.payload}|{p2.payload}|{sigma.power}"
-    found = []
-    for vec in _root_vectors(p2, shifted, seed):
-        q = Poly._of(field, vec)
-        s = _residue_cofactor(p1, p2, sigma, q)
-        found.append(StabilizingMorphism(source, target, sigma, q, s_cert=s))
-    return tuple(found)
+    return tuple(StabilizingMorphism(source, target, sigma, Poly._of(field, v))
+                 for v in _root_vectors(p2, shifted, seed))
 
 
 def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
@@ -158,8 +149,8 @@ def find_residue_isomorphisms(p1, p2, sigma=IDENTITY):
     root is found by Berlekamp's trace splitting (Math. Comp. 24, 1970),
     from the powers Y^(p^i) mod sigma^X(P1) computed once over F_q (von zur
     Gathen and Shoup, Comput. Complexity 2, 1992), and the others are its
-    Frobenius orbit Q^(q^i), i < d.  Each is then certified as a morphism
-    with its exact cofactor S_f.  The cost is polynomial in d and log q.
+    Frobenius orbit Q^(q^i), i < d.  The constructor certifies each once;
+    S_f waits until it is read.  The cost is polynomial in d and log q.
     The result has exactly deg(P2) entries (conjugate roots): at degree 1
     the one X-image sigma(c1), c1 the root of P1.  UnsupportedField for an
     infinite field above degree 1, DegreeMismatch for unequal degrees.
@@ -180,10 +171,8 @@ def lift_morphism(f, n):
     """
     if n == f.source.n == f.target.n:
         return f
-    source = f.source.at_power(n)
-    target = f.target.at_power(n)
-    return StabilizingMorphism(source, target, f.sigma, f.q_image,
-                               s_cert=f.s_cert)
+    return StabilizingMorphism(f.source.at_power(n), f.target.at_power(n),
+                               f.sigma, f.q_image)
 
 
 @dataclass(frozen=True)
@@ -198,13 +187,6 @@ class LiftReport:
     verdict: bool
 
 
-def _cofactor(f, q_f):
-    """S_f for Q_f (the X-image mod P2): stored, else computed."""
-    if f.s_cert is not None:
-        return f.s_cert
-    return _residue_cofactor(f.source.p, f.target.p, f.sigma, q_f)
-
-
 def lift_is_isomorphism(f, n):
     """Decide whether the level-n lift of a residue morphism is bijective.
 
@@ -216,15 +198,14 @@ def lift_is_isomorphism(f, n):
         raise InvalidArgument("power must be >= 1")
     p2 = f.target.p
     q_f = f.q_image % p2
-    s_f = _cofactor(f, q_f)
     deriv_nonzero = not q_f.derivative().is_zero()
-    gcd_one = gcd(s_f, p2).degree == 0
+    gcd_one = gcd(f.s_cert, p2).degree == 0
     if deriv_nonzero != gcd_one:
         raise CriterionDisagreement(
             f"gcd(S_f, P2) = 1 is {gcd_one} but Q_f' != 0 is {deriv_nonzero} "
             f"for Q_f = {format_poly(q_f)}")
     verdict = True if n == 1 else deriv_nonzero
-    return LiftReport(q_f=q_f, s_f=s_f, n=n,
+    return LiftReport(q_f=q_f, s_f=f.s_cert, n=n,
                       q_f_derivative_nonzero=deriv_nonzero,
                       gcd_sf_p2_is_one=gcd_one, verdict=verdict)
 
@@ -237,7 +218,7 @@ def kernel_witness(f, n):
     if n < 2:
         raise ValueError("kernel witnesses exist only for n >= 2")
     p2 = f.target.p
-    s_f = _cofactor(f, f.q_image % p2)
+    s_f = f.s_cert
     m = 1
     while m < n and (s_f % p2).is_zero():
         s_f, m = s_f // p2, m + 1
@@ -251,15 +232,9 @@ def kernel_witness(f, n):
 def induced_residue_morphism(f_m):
     """The residue-level morphism induced by a level-m morphism: reduce the
     X-image mod P2 (independent of the stored representative)."""
-    source = f_m.source.at_power(1)
     target = f_m.target.at_power(1)
-    q = f_m.q_image % target.p
-    try:
-        return StabilizingMorphism(source, target, f_m.sigma, q)
-    except NotWellDefined as e:
-        raise NotAMorphism(
-            f"level-{f_m.source.n} morphism does not induce a residue "
-            f"morphism: {e}", witness=e.witness) from e
+    return _residue_morphism(f_m.source.at_power(1), target, f_m.sigma,
+                             f_m.q_image % target.p)
 
 
 @dataclass(frozen=True)
@@ -280,32 +255,28 @@ def roots_bijection_check(f):
     The roots of P2 there are the Frobenius orbit a^(q^i), i < d, of the
     class a of X.  A polynomial of degree d has at most d roots, so d
     distinct roots of P2 whose d images are distinct roots of sigma^X(P1)
-    prove the bijection without enumerating the q^d elements.
+    prove the bijection without enumerating the q^d elements.  The report
+    holds the roots and their images as elements of K[X]/(P2).
     """
     base = f.source.field
     if not base.is_finite():
         raise UnsupportedField(
             f"root check requires a finite field, got {base}")
-    p2 = f.target.p
-    q_f = f.q_image % p2
-    shifted_p1 = apply_automorphism_to_poly(f.sigma, f.source.p)
-    d = p2.degree
-    if d == 1:
-        ext, root = base, -p2.coeff(0)
-        lift = lambda poly: poly
-    else:
-        # P2 itself serves as the minimal polynomial of F_{q^d}
-        ext = ExtensionField(base, p2.coeffs, gen="a")
-        root = ext.gen()
-        lift = lambda poly: Poly(ext, [ext.from_base(c) for c in poly.coeffs])
-    p1_ext, p2_ext, q_ext = lift(shifted_p1), lift(p2), lift(q_f)
-    roots_p2 = _frobenius_orbit(root, base.order(), d)
-    images = [q_ext.evaluate(a) for a in roots_p2]
+    residue = f.target.at_power(1)
+    m, d = residue.p.payload, residue.p.degree
+    shifted_p1 = apply_automorphism_to_poly(f.sigma, f.source.p).payload
+    q_f = base._prem(f.q_image.payload, m)
+    # g(a) in L2 is g o a mod P2; X mod P2 is c at degree 1 (P2 = x - c)
+    roots_p2 = _frobenius_orbit(base, base._prem(Poly.x(base).payload, m),
+                                m, d)
+    images = [base._pcompose(q_f, a, m) for a in roots_p2]
     passed = (len(set(roots_p2)) == len(set(images)) == d
-              and all(p2_ext.evaluate(a).is_zero() for a in roots_p2)
-              and all(p1_ext.evaluate(b).is_zero() for b in images))
-    return RootsBijectionReport(passed=passed, n_roots=len(roots_p2),
-                                roots_p2=tuple(roots_p2), images=tuple(images))
+              and not any(base._pcompose(m, a, m) for a in roots_p2)
+              and not any(base._pcompose(shifted_p1, b, m) for b in images))
+    elements = lambda vs: tuple(residue.element(Poly._of(base, v)) for v in vs)
+    return RootsBijectionReport(passed=passed, n_roots=d,
+                                roots_p2=elements(roots_p2),
+                                images=elements(images))
 
 
 def pick_residue_morphism(candidates, n):

@@ -14,6 +14,7 @@ from . import fields as _fields
 from .errors import (
     BadTarget,
     InvalidArgument,
+    NotAMorphism,
     NotAUnit,
     NotIrreducible,
     NotMonic,
@@ -25,6 +26,7 @@ from .errors import (
 from .poly import (
     MAX_TABLE_WORK,
     Poly,
+    apply_automorphism_to_poly,
     check_irreducible,
     check_power,
     ext_gcd,
@@ -196,13 +198,13 @@ class StabilizingMorphism(_fields._Frozen):
     ``sigma^X(P1^n1)(q) = 0 mod P2^n2``; it raises :class:`NotWellDefined`
     with the nonzero residue as witness when that fails.
 
-    ``s_cert`` optionally carries the exact cofactor S with
-    ``sigma^X(P1) o Q = S * P2`` for level-1 morphisms.
+    ``s_cert`` is the exact cofactor S_f of the residue morphism it induces:
+    ``sigma^X(P1) o (q mod P2) = S_f * P2``.
     """
 
-    __slots__ = ("source", "target", "sigma", "q_image", "s_cert", "images")
+    __slots__ = ("source", "target", "sigma", "q_image", "images", "_s_cert")
 
-    def __init__(self, source, target, sigma, q, s_cert=None):
+    def __init__(self, source, target, sigma, q):
         if not q.field == source.field == target.field:
             raise RingMismatch("X-image, source and target fields differ")
         q = q % target.modulus
@@ -220,7 +222,7 @@ class StabilizingMorphism(_fields._Frozen):
             images.append(f._prem(f._pmul(images[-1], q.payload), m))
         for name, value in (("source", source), ("target", target),
                             ("sigma", sigma), ("q_image", q),
-                            ("s_cert", s_cert), ("images", tuple(images))):
+                            ("images", tuple(images))):
             object.__setattr__(self, name, value)
         residue = Poly._of(f, self._apply(source.modulus.payload))
         if not residue.is_zero():
@@ -229,6 +231,13 @@ class StabilizingMorphism(_fields._Frozen):
                 f"{source.n} into ({format_poly(target.p)})^{target.n}; "
                 f"residue {format_poly(residue)}",
                 witness=residue)
+
+    @property
+    def s_cert(self):
+        """S_f, computed on the first read and kept."""
+        if not hasattr(self, "_s_cert"):
+            object.__setattr__(self, "_s_cert", _residue_cofactor(self))
+        return self._s_cert
 
     def _apply(self, x):
         """sigma^X(x)(q) mod the target modulus, on payloads, deg x <= D:
@@ -300,6 +309,20 @@ class StabilizingMorphism(_fields._Frozen):
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+
+def _residue_cofactor(f):
+    """S_f, the S with sigma^X(P1) o q = S * P2 for q = f.q_image mod P2;
+    NotAMorphism names the remainder when P2 does not divide."""
+    p2 = f.target.p
+    q = f.q_image % p2
+    s, rem = divmod(apply_automorphism_to_poly(f.sigma, f.source.p).compose(q),
+                    p2)
+    if not rem.is_zero():
+        raise NotAMorphism(
+            f"x -> {format_poly(q)} is not a morphism: remainder "
+            f"{format_poly(rem)}", witness=rem)
+    return s
 
 
 def _ring_to_dict(ring):

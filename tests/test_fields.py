@@ -203,6 +203,18 @@ def test_f9_as_extension():
     assert F9.order() == 9
 
 
+def test_tower_generator_defaults_to_a_name_no_field_below_uses():
+    a = F4.gen()
+    f16 = L.ExtensionField(F4, (a, 1, 1))
+    assert f16.gen_name == "b" and str(f16.gen()) != str(f16.from_base(a))
+    assert len({str(x) for x in f16.elements()}) == 16
+    f256 = L.ExtensionField(f16, L.enumerate_irreducibles(f16, 2)[0].coeffs)
+    assert f256.gen_name == "c"
+    assert len({str(x) for x in f256.elements()}) == 256
+    # an explicit name is kept, even one that prints ambiguously
+    assert L.ExtensionField(F4, (a, 1, 1), gen="a").gen_name == "a"
+
+
 def test_tower_over_f4():
     # F16 = F4[b]/(b^2+b+a): a finite extension field may serve as a base
     a = F4.gen()

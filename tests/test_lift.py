@@ -5,7 +5,7 @@ import types
 import pytest
 
 import locring as L
-from locring import poly
+from locring import lift, poly, quotient
 from locring.errors import (
     DegreeMismatch,
     InvalidArgument,
@@ -365,7 +365,7 @@ def test_criteria_compute_the_cofactor_when_none_is_stored():
     injective = set()
     for f in L.find_residue_isomorphisms(p, p):
         g = L.StabilizingMorphism.from_json(f.to_json())
-        assert f.s_cert is not None and g.s_cert is None
+        assert g.s_cert == f.s_cert
         for n in (2, 3):
             report = L.lift_is_isomorphism(g, n)
             assert report == L.lift_is_isomorphism(f, n)
@@ -458,6 +458,20 @@ def test_roots_bijection_rejects_a_non_morphism():
                               sigma=L.IDENTITY, q_image=Poly.x(F3))
     report = L.roots_bijection_check(f)
     assert not report.passed and report.n_roots == 2
+
+
+def test_roots_bijection_reports_elements_of_the_residue_ring(monkeypatch):
+    # the roots are evaluated mod P2, with no extension field built for L2
+    monkeypatch.setattr(lift, "ExtensionField", None)
+    for f in (cross_f3(), L.lift_morphism(cross_f3(), 3),
+              L.residue_morphism_from_Q(P(F5, "x+1"), P(F5, "x+3"),
+                                        L.IDENTITY, P(F5, "4"))):
+        report = L.roots_bijection_check(f)
+        residue = f.target.at_power(1)
+        assert report.passed
+        assert all(a.ring == residue for a in report.roots_p2 + report.images)
+        assert residue.gen() in report.roots_p2
+        assert f(f.source.gen()).project(1) in report.images
 
 
 def test_roots_bijection_requires_a_finite_field():
@@ -624,8 +638,8 @@ def test_rings_isomorphic_inseparable_raises():
 def test_rings_isomorphic_char0_with_supplied_residue_morphism():
     p = P(Q, "x^2-2")
     ring = L.QuotientRing(p, 1, assume_irreducible=True)
-    f = L.StabilizingMorphism(ring, ring, L.IDENTITY, P(Q, "-x"),
-                              s_cert=Poly.one(Q))
+    f = L.StabilizingMorphism(ring, ring, L.IDENTITY, P(Q, "-x"))
+    assert f.s_cert == Poly.one(Q)
     iso = L.rings_isomorphic_separable(p, p, 3, residue_morphism=f)
     assert iso is not None
     assert iso.q_image == P(Q, "-x")
@@ -636,3 +650,64 @@ def test_rings_isomorphic_char0_without_morphism_raises():
     p = P(Q, "x^2-2")
     with pytest.raises(UnsupportedField):
         L.rings_isomorphic_separable(p, p, 2)
+
+
+# -- the cofactor S_f -------------------------------------------------------
+
+def _morphisms_of_every_origin():
+    """Morphisms from each path that builds one: the search over F2, F3 and
+    F4 with frob, lifts, compositions, JSON round trips, identities, an
+    embedding and the corrected isomorphism of rings_isomorphic_separable."""
+    searched = []
+    for field, degree, sigma in ((F2, 3, L.IDENTITY), (F3, 2, L.IDENTITY),
+                                 (F4, 2, L.frobenius(1))):
+        irreducibles = L.enumerate_irreducibles(field, degree)[:2]
+        for p1, p2 in itertools.product(irreducibles, repeat=2):
+            searched += L.find_residue_isomorphisms(p1, p2, sigma)
+    p = P(F2, "x^3+x+1")
+    self_maps = L.find_residue_isomorphisms(p, p)
+    lifts = [L.lift_morphism(f, n) for f in searched[:6] for n in (2, 3)]
+    composed = [g.compose(f) for f, g in itertools.product(self_maps,
+                                                           repeat=2)]
+    composed += [L.lift_morphism(g, 2).compose(L.lift_morphism(f, 2))
+                 for f, g in zip(self_maps, self_maps[1:])]
+    ring = L.QuotientRing(P(F3, "x^2+1"), 2)
+    return (searched + lifts + composed
+            + [L.StabilizingMorphism.from_json(f.to_json())
+               for f in searched + lifts]
+            + [L.StabilizingMorphism.identity(ring),
+               L.StabilizingMorphism.identity(ring.at_power(1)),
+               L.embed_residue_field(P(F3, "x^2+1"), 3),
+               L.rings_isomorphic_separable(P(F5, "x+1"), P(F5, "x+3"), 2),
+               L.rings_isomorphic_separable(P(F3, "x+1"), P(F3, "x+2"), 3)])
+
+
+def test_s_cert_is_the_exact_cofactor_computed_once(monkeypatch):
+    calls = []
+    real = quotient._residue_cofactor
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(quotient, "_residue_cofactor", counting)
+    morphisms = _morphisms_of_every_origin()
+    for f in morphisms:
+        p2 = f.target.p
+        shifted = L.apply_automorphism_to_poly(f.sigma, f.source.p)
+        assert f.s_cert * p2 == shifted.compose(f.q_image % p2)
+        before = len(calls)
+        assert f.s_cert == f.s_cert
+        assert len(calls) == before  # a second read recomputes nothing
+        with pytest.raises(AttributeError, match="is immutable"):
+            f.s_cert = Poly.one(f.target.field)
+    assert len(calls) <= len(morphisms)
+
+
+def test_search_computes_no_cofactor(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quotient, "_residue_cofactor", calls.append)
+    L.find_residue_isomorphisms.cache_clear()
+    found = L.find_residue_isomorphisms(P(F2, "x^16+x^5+x^3+x^2+1"),
+                                        P(F2, "x^16+x^12+x^3+x+1"))
+    assert len(found) == 16 and calls == []

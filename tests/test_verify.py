@@ -286,7 +286,7 @@ def corrupted_embedding():
                    for i in range(f.source.dimension + 1))
     for name, value in [("source", f.source), ("target", f.target),
                         ("sigma", f.sigma), ("q_image", q),
-                        ("s_cert", None), ("images", images)]:
+                        ("images", images)]:
         object.__setattr__(corrupted, name, value)
     return corrupted
 
