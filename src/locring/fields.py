@@ -8,7 +8,7 @@ is equality of payloads.  Supported fields:
   * ``PrimeField(p)``          -- payload: int in ``[0, p)``
   * ``RationalFunctionField(p, var)`` -- payload: pair of int-coefficient
     polynomial tuples (numerator, denominator), denominator monic, coprime
-  * ``ExtensionField(base, min_coeffs, gen)`` -- payload: the remainder mod
+  * ``ExtensionField(base, min_coeffs)`` -- payload: the remainder mod
     the minimal polynomial, a kernel polynomial over the base (below)
 
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 import string
 from fractions import Fraction
 from math import gcd, lcm
@@ -662,8 +663,9 @@ class ExtensionField(Field):
     residue field of a modulus over F4).  Irreducibility of the minimal
     polynomial is verified over a finite base unless the caller asserts it
     (``assume_irreducible=True``), and must be caller-asserted over Q.
-    The generator is named ``gen``, by default the first letter from ``a``
-    that no field below names its generator, so a tower prints apart.
+    The generator of the k-th level of a tower is named by the k-th letter,
+    ``a`` over F_p or Q, ``b`` above it and so on, so a tower prints apart
+    and its text reads back (``parse_field``, ``parse_poly``).
 
     An element is its remainder mod m as a kernel payload over the base,
     the payload of a ``Poly`` and of a ``QuotientRing(m, 1)`` element.
@@ -677,7 +679,7 @@ class ExtensionField(Field):
     """
     _TABLE_ORDER = 32
 
-    def __init__(self, base, min_coeffs, gen=None, assume_irreducible=False):
+    def __init__(self, base, min_coeffs, assume_irreducible=False):
         if not (isinstance(base, (PrimeField, Rationals))
                 or isinstance(base, ExtensionField) and base.is_finite()):
             raise UnsupportedField(f"extensions of {base} are not supported")
@@ -690,8 +692,7 @@ class ExtensionField(Field):
         self.min_coeffs = min_coeffs
         self._m = tuple(c.payload for c in min_coeffs)
         self.degree = len(min_coeffs) - 1
-        self.gen_name = gen or next(c for c in string.ascii_lowercase
-                                    if c not in base._gen_names)
+        self.gen_name = string.ascii_lowercase[len(base._gen_names)]
         self._gen_names = base._gen_names + (self.gen_name,)
         self.char = base.char
         from .poly import Poly, check_irreducible
@@ -795,7 +796,9 @@ class ExtensionField(Field):
         return hash(("ext", self.base, self.min_coeffs))
 
     def __repr__(self):
-        return format_field(self)
+        from .poly import Poly, format_poly
+        m = format_poly(Poly._of(self.base, self._m))
+        return f"{self.base!r}[x]/({m})"
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +1001,13 @@ def frobenius(e=1):
 
 
 # ---------------------------------------------------------------------------
-# descriptor text syntax: Q | F2 | F3(t) | F2[x]/(x^2+x+1)
+# descriptor text syntax: a base Q | F2 | F3(t), then any number of suffixes
+# [x]/(m), each m a polynomial over the field before it:
+# F2[x]/(x^2+x+1)[x]/(x^2+x+a)
+
+_BASE_RE = re.compile(r"Q|F(\d+)(?:\(\s*([A-Za-z_]\w*)\s*\))?")
+_SUFFIX_RE = re.compile(r"\[\s*([A-Za-z_]\w*)\s*\]\s*/\s*\(")
+
 
 def _parse_int(text):
     """int(text) of a digit string; ParseError where int() refuses one past
@@ -1010,52 +1019,39 @@ def _parse_int(text):
 
 
 def parse_field(text):
-    """Parse a field descriptor such as ``Q``, ``F2``, ``F3(t)`` or
-    ``F2[x]/(x^2+x+1)``."""
+    """Parse a field descriptor such as ``Q``, ``F2``, ``F3(t)``,
+    ``F2[x]/(x^2+x+1)`` or the tower ``F2[x]/(x^2+x+1)[x]/(x^2+x+a)``: the
+    inverse of :func:`format_field`.  The whole text is read before any
+    field is built."""
     s = text.strip()
-    if s == "Q":
-        return Rationals()
-    if not s.startswith("F"):
+    base = _BASE_RE.match(s)
+    if not base:
         raise ParseError(f"unknown field descriptor {text!r}")
-    rest = s[1:]
-    i = 0
-    while i < len(rest) and rest[i].isdecimal():
-        i += 1
-    if i == 0:
-        raise ParseError(f"missing characteristic in field descriptor {text!r}")
-    p = _parse_int(rest[:i])
-    tail = rest[i:]
-    if not tail:
-        return PrimeField(p)
-    if tail.startswith("(") and tail.endswith(")"):
-        var = tail[1:-1].strip()
-        if not var.isidentifier():
-            raise ParseError(f"bad function-field variable {tail!r}")
-        return RationalFunctionField(p, var)
-    if tail.startswith("[") :
-        # F2[x]/(x^2+x+1)
-        close = tail.find("]")
-        if close < 0 or not tail[close + 1:].startswith("/(") or not tail.endswith(")"):
-            raise ParseError(f"malformed extension descriptor {text!r}")
-        var = tail[1:close].strip()
-        body = tail[close + 3:-1]
-        from .poly import parse_poly
-        base = PrimeField(p)
-        m = parse_poly(base, body, var=var)
-        return ExtensionField(base, m.coeffs)
-    raise ParseError(f"unknown field descriptor {text!r}")
+    suffixes, pos = [], base.end()
+    while pos < len(s):
+        suffix = _SUFFIX_RE.match(s, pos)
+        if not suffix:
+            raise ParseError(f"malformed field descriptor {text!r} at "
+                             f"position {pos}")
+        # the modulus runs to the ')' that balances its '/('
+        depth, pos = 1, suffix.end()
+        while depth and pos < len(s):
+            depth += (s[pos] == "(") - (s[pos] == ")")
+            pos += 1
+        if depth:
+            raise ParseError(f"unbalanced parentheses in field descriptor "
+                             f"{text!r}")
+        suffixes.append((suffix[1], s[suffix.end():pos - 1]))
+    p, var = base.groups()
+    field = (Rationals() if p is None else PrimeField(_parse_int(p))
+             if var is None else RationalFunctionField(_parse_int(p), var))
+    from .poly import parse_poly
+    for var, body in suffixes:
+        field = ExtensionField(field, parse_poly(field, body, var=var).coeffs)
+    return field
 
 
 def format_field(field):
-    """Inverse of :func:`parse_field` for the supported descriptors."""
-    if isinstance(field, Rationals):
-        return "Q"
-    if isinstance(field, PrimeField):
-        return f"F{field.p}"
-    if isinstance(field, RationalFunctionField):
-        return f"F{field.p}({field.var})"
-    if isinstance(field, ExtensionField):
-        from .poly import Poly, format_poly
-        m = Poly(field.base, field.min_coeffs)
-        return f"{format_field(field.base)}[x]/({format_poly(m, var='x')})"
-    raise UnsupportedField(f"cannot format {field!r}")
+    """The descriptor of a field, its repr, which :func:`parse_field` reads
+    back for every field but an extension of Q."""
+    return repr(field)

@@ -321,10 +321,9 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
         return None
     candidates = ((residue_morphism,) if residue_morphism is not None
                   else find_residue_isomorphisms(p1, p2, sigma))
-    for f in candidates:
-        if lift_is_isomorphism(f, n).verdict:
-            return lift_morphism(f, n)
-    f = candidates[0]
+    f = pick_residue_morphism(candidates, n)
+    if lift_is_isomorphism(f, n).verdict:
+        return lift_morphism(f, n)
     q_f = f.q_image % p2
     v = (1 - q_f.derivative()) * dp2_inverse % p2
     return StabilizingMorphism(f.source.at_power(n), f.target.at_power(n),

@@ -449,9 +449,9 @@ class _Parser:
         if kind == "name":
             if text == self.var:
                 return (f._from_int(0), f._from_int(1))
-            gen = self._field_generator(text)
+            gen = _field_generator(f, text)
             if gen is not None:
-                return (gen.payload,)
+                return (gen,)
             raise ParseError(f"unknown symbol {text!r} over {f}")
         if kind == "op" and text == "(":
             node = self.parse_expr()
@@ -459,13 +459,16 @@ class _Parser:
             return node
         raise ParseError(f"unexpected token {text!r}")
 
-    def _field_generator(self, name):
-        f = self.field
-        if isinstance(f, fields.RationalFunctionField) and name == f.var:
-            return f.gen()
-        if isinstance(f, fields.ExtensionField) and name == f.gen_name:
-            return f.gen()
-        return None
+
+def _field_generator(field, name):
+    """The payload in ``field`` of the generator named ``name``, its own or
+    that of a field below it in a tower, each level below wrapping it as
+    ``(g,)``, as ``from_base`` does; None for any other name."""
+    if name in (getattr(field, "var", None), getattr(field, "gen_name", None)):
+        return field.gen().payload
+    g = (isinstance(field, fields.ExtensionField)
+         and _field_generator(field.base, name))
+    return (g,) if g else None
 
 
 def parse_poly(field, text, var="x"):

@@ -327,12 +327,11 @@ def _residue_cofactor(f):
 
 def _ring_to_dict(ring):
     field = ring.field
-    # parse_field reads extensions of a prime field only
-    if (isinstance(field, _fields.ExtensionField)
-            and not isinstance(field.base, _fields.PrimeField)):
+    # parse_field verifies an extension's modulus, which over Q it cannot
+    if isinstance(field, _fields.ExtensionField) and not field.is_finite():
         raise UnsupportedField(
-            f"{field} has no field descriptor: only extensions of a prime "
-            "field can be written")
+            f"{field} has no field descriptor: parse_field cannot verify "
+            "the irreducibility of an extension of Q")
     return {"field": _fields.format_field(field),
             "p": format_poly(ring.p),
             "n": ring.n}

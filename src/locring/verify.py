@@ -6,7 +6,8 @@ elements rather than from all pairs.
 A morphism between quotient rings is linear over the base field K when its
 base automorphism fixes K (the identity, any power on a prime field, frob^e
 on F_{p^k} when k divides e); one that moves some element of K is verified
-over the prime subfield, where it becomes linear.
+over the prime subfield F_p of K, where it becomes linear, whether K is a
+simple extension of F_p or a tower of extensions.
 
 A :class:`Matrix` holds payloads of its field, not ``FieldElement``s: its
 columns are read from the morphism's stored table of powers, elimination
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, TooLarge, UnsupportedAutomorphism
+from .errors import InvalidArgument, TooLarge
 from .fields import FieldElement, PrimeField
 from .poly import MAX_TABLE_WORK
 
@@ -95,19 +96,20 @@ def morphism_matrix(f):
     """Matrix of the morphism on the monomial basis of the source.
 
     A morphism whose sigma fixes the base field K gives a matrix over K; one
-    whose sigma moves some element of K, an extension of F_p, gives a matrix
-    over F_p on the basis a^j * X^i, so its kernel dimension is over F_p.
-    Column i (or j*D + i) holds the coordinates of f(X^i) = q^i (or of
-    f(a^j * X^i) = sigma(a^j) * q^i), read from ``f.images``.
+    whose sigma moves some element of the finite field K gives a matrix over
+    F_p on the basis s * X^i, s over the F_p-basis ``_prime_basis`` of K, so
+    its kernel dimension is over F_p.  Column i (or j*D + i) holds the
+    coordinates of f(X^i) = q^i (or of f(s_j * X^i) = sigma(s_j) * q^i),
+    read from ``f.images``; over F_p each coefficient is flattened one tower
+    level at a time into its coordinates, in the order of the basis.
     """
     field = f.source.field
     act = f.sigma.on(field)  # None: the morphism is linear over field
-    if act and not isinstance(field.base, PrimeField):
-        raise UnsupportedAutomorphism(
-            f"cannot linearize sigma = {f.sigma.label()} over {field}")
-    k = field.degree if act else 1
-    entry_field = field.base if act else field
-    # one row and one column per coordinate over entry_field
+    one = field._from_int(1)
+    scalars = ([one] if act is None
+               else [act(s) for s in _prime_basis(field.base, field.degree)])
+    # one row and one column per coordinate over the entry field
+    k = len(scalars)
     ncols = k * f.source.dimension
     nrows = k * f.target.dimension
     work = ncols * nrows * min(ncols, nrows)
@@ -117,20 +119,20 @@ def morphism_matrix(f):
             f"D'*E'*min(D', E') = {work} products, past the work bound "
             f"{MAX_TABLE_WORK}")
     images = f.images[:f.source.dimension]
-    dim = f.target.dimension
-    if act is None:
-        zero = field._from_int(0)
-        columns = [img + (zero,) * (dim - len(img)) for img in images]
-    else:
-        # an extension payload is a trimmed tuple of prime-field ints
-        one = field._from_int(1)
-        columns = []
-        for j in range(k):
-            s = act((0,) * j + (1,))  # sigma(a^j)
-            for img in images:
-                coeffs = img if s == one else [field._mul(c, s) for c in img]
-                col = [x for c in coeffs for x in c + (0,) * (k - len(c))]
-                columns.append(col + [0] * (k * dim - len(col)))
+    pad = (field._from_int(0),) * f.target.dimension
+    columns = []
+    for s in scalars:
+        for img in images:
+            if s != one:
+                img = tuple([field._mul(c, s) for c in img])
+            columns.append(img + pad[len(img):])
+    entry_field = field
+    while act is not None and not isinstance(entry_field, PrimeField):
+        # an extension payload is a trimmed tuple of base payloads
+        zero, degree = entry_field.base._from_int(0), entry_field.degree
+        columns = [[x for c in col for x in c + (zero,) * (degree - len(c))]
+                   for col in columns]
+        entry_field = entry_field.base
     return Matrix(entry_field, tuple(zip(*columns)))
 
 

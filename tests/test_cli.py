@@ -303,6 +303,30 @@ def test_check_frobenius_fixing_the_field_reads_as_identity(tmp_path, capsys):
     assert "kernel dimension: 4\n" in out["frob"]
 
 
+TOWER = "F2[x]/(x^2+x+1)[x]/(x^2+x+a)"  # F16 over F4
+
+
+@pytest.mark.parametrize("p1, p2, kernel", [
+    ("x^2+x+a*b", "x^2+b*x+1", 0), ("x+b", "x+a", 4)], ids=["d2", "d1"])
+def test_check_reads_a_frobenius_twisted_lift_over_a_tower(tmp_path, capsys,
+                                                           p1, p2, kernel):
+    # frob moves F16, so check gives the kernel over F2, of the 16 x 16
+    # matrix at degree 2 and the 8 x 8 one at degree 1; it agrees with the
+    # verdict lift prints
+    code, text, _ = run(capsys, "lift", "--field", TOWER, "--p1", p1,
+                        "--p2", p2, "--sigma", "frob", "--power", "2",
+                        "--json")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["verdict"] == (kernel == 0)
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(payload["morphism"]), encoding="utf-8")
+    code, out, _ = run(capsys, "check", "--morphism", str(path))
+    assert code == 0
+    assert f"kernel dimension: {kernel}\n" in out
+    assert f"isomorphism: {kernel == 0}\n" in out
+
+
 def test_assumed_irreducibility_is_noted_on_stderr(tmp_path, capsys):
     note = ("note: irreducibility of x^2-1 over Q is assumed, "
             "not verified\n")
@@ -453,6 +477,7 @@ LIFT = ["lift", "--field", "F3", "--p1", "x^2+1", "--p2", "x^2+x+2"]
     ["embed", "--field", "F2", "--poly", "x^2+x+1", "--power", "0"],
     ["embed", "--field", "F3", "--poly", "2*x^2+1", "--power", "2"],
     ["embed", "--field", "F2[x]/(x)", "--poly", "x^2+x+1", "--power", "2"],
+    ["embed", "--field", "F3(t)[x]/(x^2+t)", "--poly", "x+1", "--power", "2"],
     ["embed", "--field", "F3317044064679887385961983", "--poly", "x^2+1",
      "--power", "2"],
     ["digits", "--field", "F2", "--poly", "x^2+x+1", "--power", "0",
@@ -461,8 +486,8 @@ LIFT = ["lift", "--field", "F3", "--p1", "x^2+1", "--p2", "x^2+x+2"]
     LIFT + ["--power", "2", "--sigma", "frob^x"],
     LIFT + ["--power", "2", "--sigma", "frob^-1"],
 ], ids=["embed-F4", "embed-power0", "embed-nonmonic", "embed-ext-degree1",
-        "embed-char-too-large", "digits-power0", "lift-power0",
-        "lift-sigma-x", "lift-sigma-negative"])
+        "embed-ext-of-F3(t)", "embed-char-too-large", "digits-power0",
+        "lift-power0", "lift-sigma-x", "lift-sigma-negative"])
 def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     _assert_input_error(code, err)

@@ -159,7 +159,7 @@ def test_frobenius_is_a_field_morphism(field):
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 @pytest.mark.parametrize("field", [
     F4, L.ExtensionField(F3, (1, 0, 1)),
-    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+    L.ExtensionField(F4, (F4.gen(), 1, 1)),
 ], ids=repr)
 def test_frobenius_action_matches_boxed_powering(field, e):
     # the reference raises to p^e itself, with no reduction of the exponent
@@ -211,14 +211,12 @@ def test_tower_generator_defaults_to_a_name_no_field_below_uses():
     f256 = L.ExtensionField(f16, L.enumerate_irreducibles(f16, 2)[0].coeffs)
     assert f256.gen_name == "c"
     assert len({str(x) for x in f256.elements()}) == 256
-    # an explicit name is kept, even one that prints ambiguously
-    assert L.ExtensionField(F4, (a, 1, 1), gen="a").gen_name == "a"
 
 
 def test_tower_over_f4():
     # F16 = F4[b]/(b^2+b+a): a finite extension field may serve as a base
     a = F4.gen()
-    f16 = L.ExtensionField(F4, (a, 1, 1), gen="b")
+    f16 = L.ExtensionField(F4, (a, 1, 1))
     b = f16.gen()
     assert b * b + b + f16.from_base(a) == f16.zero()
     assert f16.order() == 16 and len(set(f16.elements())) == 16
@@ -239,7 +237,7 @@ def test_tower_over_f4():
 
 @pytest.mark.parametrize("field", [
     F4, L.ExtensionField(F3, (1, 0, 1)),
-    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+    L.ExtensionField(F4, (F4.gen(), 1, 1)),
 ], ids=repr)
 def test_extension_elements_in_ascending_payload_order(field):
     # the residue search sorts a Frobenius orbit by payload into this order
@@ -260,14 +258,14 @@ TABLE_FIELDS = [
     L.ExtensionField(F2, (1, 1, 0, 1)),                 # F8
     F9,
     L.ExtensionField(F2, (1, 1, 0, 0, 1)),              # F16
-    L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),    # F16 over F4
+    L.ExtensionField(F4, (F4.gen(), 1, 1)),             # F16 over F4
     L.ExtensionField(L.PrimeField(5), (2, 0, 1)),       # F25
     L.ExtensionField(F3, (1, 2, 0, 1)),                 # F27
     L.ExtensionField(F2, (1, 0, 1, 0, 0, 1)),           # F32
 ]
 POLY_PATH_FIELDS = [
     L.ExtensionField(F2, (1, 1, 0, 0, 0, 0, 1)),        # F64
-    L.ExtensionField(F9, (F9.gen(), 1, 1), gen="b"),    # F81 over F9
+    L.ExtensionField(F9, (F9.gen(), 1, 1)),             # F81 over F9
 ]
 
 
@@ -332,11 +330,53 @@ def test_parse_format_field_round_trip():
         assert L.format_field(field) == text
 
 
+F16 = L.ExtensionField(F4, (F4.gen(), 1, 1))
+ROUND_TRIP_FIELDS = {
+    "F2": F2,
+    "F3": F3,
+    "F4": F4,
+    "F9": L.ExtensionField(F3, (1, 0, 1)),
+    "F16/F4": F16,
+    "F256/F16/F4": L.ExtensionField(
+        F16, L.enumerate_irreducibles(F16, 2)[0].coeffs),
+    "F81/F9": POLY_PATH_FIELDS[1],
+    "Q": Q,
+    "F2(t)": F2T,
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_FIELDS))
+def test_descriptors_and_polynomials_round_trip(name):
+    # a tower's descriptor names each modulus over the field before it, and
+    # its polynomials name the generators of every level
+    field = ROUND_TRIP_FIELDS[name]
+    assert L.parse_field(L.format_field(field)) == field
+    rng = random.Random(name)
+    for _ in range(150):
+        p = L.Poly(field, [field.random_element(rng)
+                           for _ in range(rng.randint(0, 4))])
+        assert L.parse_poly(field, L.format_poly(p)) == p
+
+
+def test_parse_field_reads_tower_descriptors():
+    f16 = L.parse_field(" F2[x]/(x^2+x+1)[y] / (y^2+y+a) ")
+    assert f16 == F16 and f16.gen_name == "b"
+    b, a = f16.gen(), f16.from_base(F4.gen())
+    assert L.parse_poly(f16, "(a+1)*x+a*b") == L.Poly(f16, (a * b, a + 1))
+    assert L.parse_element(f16, "b^2+b") == a
+
+
 def test_parse_field_rejects_garbage():
     from locring.errors import NotIrreducible, ParseError
-    for bad in ["R", "F", "F4x"]:
+    for bad in ["R", "F", "F4x", "F3()", "F2[x]/(x^2+x+1", "F2[x]/x^2",
+                "F2[x]/(x^2+x+1)]", "F2[x]/(x^2+x+1)[x]/((x^2+x+a)"]:
         with pytest.raises(ParseError):
             L.parse_field(bad)
+    # an extension of F3(t) is not supported, and one of Q cannot be
+    # verified: both descriptors parse and are refused
+    for unsupported in ["F3(t)[x]/(x^2+t)", "Q[x]/(x^2-2)"]:
+        with pytest.raises(UnsupportedField):
+            L.parse_field(unsupported)
     with pytest.raises(NotIrreducible):
         L.parse_field("F2[x]/(x^2)")
     with pytest.raises(ValueError):

@@ -193,13 +193,26 @@ def test_morphism_json_round_trip_over_f4():
     assert L.StabilizingMorphism.from_json(f.to_json()) == f
 
 
-def test_tower_rings_are_not_serialized():
-    # parse_field cannot read F2[x]/(x^2+x+1)[x]/(x^2+x+a) back, so
-    # to_json refuses to write it
+def test_tower_rings_round_trip_through_json():
+    # the descriptor F2[x]/(x^2+x+1)[x]/(x^2+x+a) reads back, and so do the
+    # moduli and X-image that name both generators
     f4 = L.ExtensionField(F2, (1, 1, 1))
-    tower = L.ExtensionField(f4, (f4.gen(), 1, 1), gen="b")
-    ring = L.QuotientRing(Poly(tower, (tower.gen(), tower.one())), 1)
-    with pytest.raises(UnsupportedField, match=r"F2\[x\]/\(x\^2\+x\+1\)\[x\]"):
+    tower = L.ExtensionField(f4, (f4.gen(), 1, 1))
+    p1, p2 = L.enumerate_irreducibles(tower, 2)[1:3]
+    f = L.lift_morphism(
+        L.find_residue_isomorphisms(p1, p2, L.frobenius(1))[-1], 2)
+    text = f.to_json()
+    assert "[x]/(x^2+x+a)" in text and "b" in f.to_dict()["q_image"]
+    assert L.StabilizingMorphism.from_json(text) == f
+
+
+def test_rings_over_an_extension_of_q_are_not_serialized():
+    # parse_field cannot verify the modulus x^2-2 over Q, so to_json
+    # refuses to write a descriptor that would not read back
+    field = L.ExtensionField(Q, (-2, 0, 1), assume_irreducible=True)
+    ring = L.QuotientRing(Poly(field, (field.gen(), field.one())), 1,
+                          assume_irreducible=True)
+    with pytest.raises(UnsupportedField, match=r"Q\[x\]/\(x\^2-2\)"):
         L.StabilizingMorphism.identity(ring).to_json()
 
 
@@ -260,7 +273,7 @@ ENUMERATION_RINGS = {
     "F3": (F3, "x^2+1", 1),
     "F4": (F4, "x+a", 2),
     "F9": (L.ExtensionField(F3, (1, 0, 1)), "x+a", 2),
-    "F16-over-F4": (L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b"),
+    "F16-over-F4": (L.ExtensionField(F4, (F4.gen(), 1, 1)),
                     "x+b", 1),
 }
 

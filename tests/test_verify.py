@@ -24,7 +24,7 @@ F3 = L.PrimeField(3)
 Q = L.Rationals()
 F4 = L.ExtensionField(F2, (1, 1, 1))
 F9 = L.ExtensionField(F3, (1, 0, 1))
-TOWER = L.ExtensionField(F4, (F4.gen(), 1, 1), gen="b")
+TOWER = L.ExtensionField(F4, (F4.gen(), 1, 1))
 F2t = L.parse_field("F2(t)")
 
 
@@ -179,18 +179,36 @@ def test_morphism_matrix_semilinear_over_f4():
     assert exhaustive_morphism_check(f).passed
 
 
-def boxed_column(f, s, i, k):
+def prime_basis(field):
+    """The basis over F_p of a finite field, as elements: s * g^t, g the
+    generator and s over the basis of the field below, t major."""
+    if isinstance(field, L.PrimeField):
+        return [field.one()]
+    return [field.from_base(s) * field.gen() ** t
+            for t in range(field.degree) for s in prime_basis(field.base)]
+
+
+def prime_coordinates(c):
+    """The coordinates over F_p of c on ``prime_basis``, by splitting it
+    into its coefficients on 1, g, ..., one level at a time."""
+    field = c.field
+    if isinstance(field, L.PrimeField):
+        return [c.payload]
+    coeffs = Poly._of(field.base, c.payload)
+    return [x for t in range(field.degree)
+            for x in prime_coordinates(coeffs.coeff(t))]
+
+
+def boxed_column(f, s, i, twisted):
     """Coordinates of f(s * X^i) by ``StabilizingMorphism.__call__`` on the
-    target's monomials; for k > 1 each coefficient is split into its k
-    prime-field coordinates on 1, a, ..., a^(k-1)."""
+    target's monomials; twisted, each coefficient is split into its
+    coordinates over F_p."""
     ring = f.source
     y = f(ring.element(s) * ring.gen() ** i).rep
     coeffs = [y.coeff(e) for e in range(f.target.dimension)]
-    if k == 1:
+    if not twisted:
         return [c.payload for c in coeffs]
-    base = f.target.field.base
-    return [Poly._of(base, c.payload).coeff(t).payload
-            for c in coeffs for t in range(k)]
+    return [x for c in coeffs for x in prime_coordinates(c)]
 
 
 def _lifted(field, p1, p2, n, sigma=L.IDENTITY):
@@ -204,9 +222,9 @@ def _linear_lift(field, p1, p2, q, n):
     return L.lift_morphism(f, n)
 
 
-def _tower_lift():
+def _tower_lift(sigma=L.IDENTITY, n=2):
     p1, p2 = L.enumerate_irreducibles(TOWER, 2)[:2]
-    return L.lift_morphism(L.find_residue_isomorphisms(p1, p2)[0], 2)
+    return L.lift_morphism(L.find_residue_isomorphisms(p1, p2, sigma)[0], n)
 
 
 LAYOUT_CASES = {
@@ -224,6 +242,9 @@ LAYOUT_CASES = {
                                              L.frobenius(1)))
        for n in (1, 2, 3)},
     "tower-over-F4": _tower_lift,
+    **{f"tower-frob^{e}-n{n}":
+       (lambda e=e, n=n: _tower_lift(L.frobenius(e), n))
+       for e in (1, 2) for n in (1, 2)},
 }
 
 
@@ -232,18 +253,39 @@ def test_morphism_matrix_columns_are_images(name):
     f = LAYOUT_CASES[name]()
     field = f.source.field
     m = morphism_matrix(f)
-    twisted = name.startswith(("F4-frob", "F9-frob"))
-    assert (m.field == field.base) if twisted else (m.field == field)
-    # column j*D + i is f(s * X^i), s = a^j twisted and s = 1 otherwise
-    scalars = ([field.gen() ** j for j in range(field.degree)] if twisted
-               else [field.one()])
+    twisted = "frob" in name
+    assert m.field == (L.PrimeField(field.char) if twisted else field)
+    # column j*D + i is f(s_j * X^i), s_j over the F_p-basis of the field
+    # twisted, and s = 1 otherwise
+    scalars = prime_basis(field) if twisted else [field.one()]
     k = len(scalars)
     d = f.source.dimension
     columns = list(zip(*m.rows))
     assert m.nrows == k * f.target.dimension and len(columns) == k * d
     for j, s in enumerate(scalars):
         for i in range(d):
-            assert list(columns[j * d + i]) == boxed_column(f, s, i, k)
+            assert list(columns[j * d + i]) == boxed_column(f, s, i, twisted)
+
+
+def test_tower_kernel_is_zero_exactly_when_the_lift_criterion_holds():
+    # frob^e moves F16 for e = 1..3, so each lift is read over F2 on a
+    # basis of 4 * D vectors
+    f2 = L.PrimeField(2)
+    for d in (1, 2):
+        polys = L.enumerate_irreducibles(TOWER, d)[:4]
+        for p1, p2 in itertools.product(polys, repeat=2):
+            for e in (1, 2, 3):
+                for f in L.find_residue_isomorphisms(p1, p2, L.frobenius(e)):
+                    for n in (1, 2, 3):
+                        lifted = L.lift_morphism(f, n)
+                        m = morphism_matrix(lifted)
+                        assert m.field == f2 and m.ncols == 4 * d * n
+                        verdict = L.lift_is_isomorphism(f, n).verdict
+                        assert (kernel_dimension(lifted) == 0) == verdict
+                        assert certify_isomorphism(lifted) == verdict
+                        if not verdict:
+                            w = L.kernel_witness(f, n)
+                            assert w and lifted(w).is_zero()
 
 
 def test_certify_matches_lift_report():
