@@ -523,4 +523,6 @@ def format_poly(a, var="x"):
 
 
 def _needs_parens(s):
-    return "+" in s[1:] or "-" in s[1:] or "/" in s or "*" in s
+    # text that one pair wraps whole, such as "(a+1)", needs no second pair
+    return ("+" in s[1:] or "-" in s[1:] or "/" in s or "*" in s) and not (
+        s[0] == "(" and fields._closing_paren(s, 0) == len(s) - 1)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
@@ -366,6 +368,20 @@ def test_parse_field_reads_tower_descriptors():
     assert L.parse_element(f16, "b^2+b") == a
 
 
+def test_parse_field_charges_the_moduli_of_a_tower():
+    # degree-2 levels x^2+<generator below>*x+1 over F2: six levels verify
+    # in a tenth of a second, the seventh would take about a second
+    names = "abcdef"
+    levels = ["[x]/(x^2+x+1)"] + [f"[x]/(x^2+{v}*x+1)" for v in names]
+    assert L.parse_field("F2" + "".join(levels[:6])).order() == 2 ** 64
+    with pytest.raises(InvalidArgument, match="up to level 7"):
+        L.parse_field("F2" + "".join(levels))
+    # one level over F2 is charged about 2 d^3 products
+    assert L.parse_field("F2[x]/(x^127+x+1)").degree == 127
+    with pytest.raises(InvalidArgument, match="work bound"):
+        L.parse_field("F2[x]/(x^1023+x+1)")
+
+
 def test_parse_field_rejects_garbage():
     from locring.errors import NotIrreducible, ParseError
     for bad in ["R", "F", "F4x", "F3()", "F2[x]/(x^2+x+1", "F2[x]/x^2",
@@ -539,3 +555,24 @@ def test_pdot_matches_the_add_and_multiply_loop(field):
     p = poly(4)
     one = field._from_int(1)
     assert field._pdot([one, field._neg(one)], [p, p]) == ()
+
+
+def library_caches():
+    """Every functools cache in a locring module, found as the benchmark
+    finds the caches it empties before each pass."""
+    modules = [importlib.import_module(f"locring.{m.name}")
+               for m in pkgutil.iter_modules(L.__path__)]
+    return [obj for module in modules for obj in vars(module).values()
+            if callable(getattr(obj, "cache_clear", None))]
+
+
+def test_library_caches_are_bounded_and_clear():
+    t = F2T.gen()
+    assert (t + 1) / (t * t + 1) + t / (t + 1) == 1  # (t+1)^2 = t^2+1
+    caches = library_caches()
+    assert {"_fp_reduce", "_fp_lcm", "_fp_quo", "is_irreducible"} <= {
+        cache.__name__ for cache in caches}
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None, cache.__name__
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0, cache.__name__

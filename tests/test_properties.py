@@ -1,5 +1,6 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
-p in {2, 3, 5}, the gcd of the F_p kernel, the two-stage morphism law of
+p in {2, 3, 5}, the gcd of the F_p kernel, the F_p(t) reduction with its
+caches cold or warm, the two-stage morphism law of
 ``exhaustive_morphism_check`` against the pair-by-pair reference, and the
 payload parser against ``Poly`` arithmetic, on inputs that Hypothesis
 draws.  Hypothesis is a test-only dependency;
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import locring as L  # noqa: E402
 from locring.poly import Poly  # noqa: E402
 from locring.verify import exhaustive_morphism_check  # noqa: E402
+from test_fields import library_caches  # noqa: E402
 from test_verify import objectwise_morphism_check  # noqa: E402
 
 # a few hundred examples in all keep the module near a second
@@ -83,6 +85,30 @@ def test_gcd_is_monic_and_divides_both(case):
     assert field._pdivmod(a, g)[1] == () and field._pdivmod(b, g)[1] == ()
     if c:
         assert field._pdivmod(g, c)[1] == ()
+
+
+def _reduced(field, n, d, c):
+    """field._reduce(n*c, d*c) of int lists read mod p, checked canonical:
+    coprime, monic denominator, and equal to n/d."""
+    fp = field._fp
+    n, d, c = (fp._ptrim([x % field.p for x in v]) for v in (n, d, c))
+    n, d = fp._pmul(n, c or (1,)), fp._pmul(d or (1,), c or (1,))
+    num, den = field._reduce(n, d)
+    assert den[-1] == 1 and fp._pgcd(num, den) == (1,)
+    assert fp._pmul(num, d) == fp._pmul(n, den)
+    return num, den
+
+
+@SETTINGS
+@given(st.lists(_fp_coeffs(5, 5), min_size=3, max_size=3))
+def test_reduce_is_canonical_with_caches_cold_or_warm(ndc):
+    for cache in library_caches():
+        cache.cache_clear()
+    # the same int lists over F2, F3 and F5, cold and then warm: an entry
+    # cached for one field must not answer for another
+    cold, warm = ([_reduced(field, *ndc) for field in FUNCTION_FIELDS.values()]
+                  for _ in range(2))
+    assert cold == warm
 
 
 # (P1, P2) per ring, at n = 1 and 2: rings of 4 to 81 elements
