@@ -16,25 +16,34 @@ degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition, powering and Euclid, uses the field's own
 scalar ops.  Division is one routine, ``_pdivide(a, b, want_quo)``, which
 builds the quotient only when asked; ``_pdivmod`` and ``_prem`` (the
-remainder alone) call it.  A field overrides a kernel loop only where that
-measures faster (cases/s lost with the override removed, in three
-alternating 5 s benchmark pairs, seed 0, 2-CPU x86-64 host, Python 3.11):
+remainder alone) call it.  Two fused entries serve the digit layer: the
+truncated convolution ``_pconvmod`` of digit vectors and the Horner sum
+``_phorner`` of ``from_digits``; the generic version of each is the
+composition of the calls above.  The loops are ``_conv``, ``_dot`` and
+``_reduce_by``, on any ring's add and multiply.
+A field overrides a kernel entry only where that measures faster (cases/s
+lost with the override removed, in three alternating 5 s benchmark pairs,
+or, marked "pass", time added to an in-process pass of four, seed 0, 2-CPU
+x86-64 host, Python 3.11):
 
   * ``PrimeField._pmul``, ``_pdivide`` and ``_pdot`` run on plain ints and
     reduce mod p once per output coefficient (search 10-21 %; digits 6-9 %
     and search 8-17 %; digits 3-21 %);
-  * ``_FractionField._pmul``, ``_pdivide`` and ``_pdot`` (Q and F_p(t))
-    clear the operands to numerators over one common denominator, loop in
-    Z or F_p[t] and normalize each output coefficient once (generic 0-14 %,
-    12-16 % and 0-8 %); a divisor whose cleared leading coefficient is not
-    a unit takes the generic division;
+  * ``_FractionField`` (Q and F_p(t)) clears the operands of ``_pmul``,
+    ``_pdivide``, ``_pdot``, ``_pconvmod`` and ``_phorner`` to numerators
+    over one common denominator, loops in Z or F_p[t] and normalizes each
+    output coefficient once (generic 0-14 %, 12-16 %, 0-8 %, pass 5 % and
+    2 %; a fused product mod m measured pass 0-1 % and was left out); a
+    divisor whose cleared leading coefficient is not a unit takes the
+    generic version;
   * an ``ExtensionField`` of order at most 32 multiplies, inverts and adds
     by log and Zech tables (generic 24-28 %; the bound is measured there).
 
 F_p(t) keeps its F_p[t] Euclid in bounded caches on (F_p, operands):
 ``_fp_reduce`` (4,096 entries), ``_fp_lcm`` and ``_fp_quo`` (1,024 each) hit
-66 %, 96 % and 96 % of their calls in a generic benchmark pass, which runs
-13-18 % faster; they pay off only where fractions repeat.
+73 %, 96 % and 96 % of their calls in a generic benchmark pass; they pay
+off only where fractions repeat.  ``_cleared_divisor`` (256 entries) clears
+a fixed divisor, such as a modulus, once; it hits 95 % there.
 
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
 ``F_p[x]/(m)`` all run on this kernel.  ``FieldAutomorphism.on`` alone says
@@ -178,14 +187,8 @@ class Field:
         return tuple(self._neg(c) for c in a)
 
     def _pmul(self, a, b):
-        if not a or not b:
-            return ()
         out = [self._from_int(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not self._is_zero(ai):
-                for j, bj in enumerate(b):
-                    out[i + j] = self._add(out[i + j], self._mul(ai, bj))
-        return self._ptrim(out)
+        return self._ptrim(_conv(self._add, self._mul, a, b, out))
 
     def _pdivmod(self, a, b):
         return self._pdivide(a, b, True)
@@ -199,24 +202,13 @@ class Field:
         ``want_quo`` (else it is False); the one division a field overrides."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        db = len(b) - 1
         # a monic divisor needs no inverse, which over an extension field
         # is a full extended Euclid
-        monic = b[-1] == self._from_int(1)
-        inv_lead = None if monic else self._inv(b[-1])
+        inv = None if b[-1] == self._from_int(1) else self._inv(b[-1])
         rem = list(a)
-        quo = [self._from_int(0)] * max(len(rem) - db, 1) if want_quo else None
-        while len(rem) > db:
-            top = rem.pop()
-            if self._is_zero(top):
-                continue
-            k = len(rem) - db
-            c = top if monic else self._mul(top, inv_lead)
-            if want_quo:
-                quo[k] = c
-            neg_c = self._neg(c)
-            for j in range(db):
-                rem[k + j] = self._add(rem[k + j], self._mul(neg_c, b[j]))
+        quo = ([self._from_int(0)] * max(len(rem) - len(b) + 1, 1)
+               if want_quo else None)
+        _reduce_by(self._add, self._mul, self._neg, rem, b, quo, inv)
         return want_quo and self._ptrim(quo), self._ptrim(rem)
 
     def _pmonic(self, a):
@@ -233,11 +225,26 @@ class Field:
     def _pdot(self, cs, ps):
         """The linear combination sum(c * p) of the polynomials ``ps`` by the
         scalars ``cs``, pairing them as ``zip`` does."""
+        width = max((len(p) for _, p in zip(cs, ps)), default=0)
+        return self._ptrim(_dot(self._add, self._mul, cs, ps,
+                                [self._from_int(0)] * width))
+
+    def _pconvmod(self, xs, ys, m):
+        """The product of sum xs[i] Y^i and sum ys[j] Y^j, polynomials in Y
+        over K[X]/(m), truncated to len(xs) terms; each term reduced once."""
+        k, out = len(xs), [()] * len(xs)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys[:k - i]):
+                out[i + j] = self._padd(out[i + j], self._pmul(x, y))
+        return [self._prem(c, m) for c in out]
+
+    def _phorner(self, cs, ps, q, m):
+        """sum_j q^j * sum_i cs[j][i] * ps[i] mod m: Horner in q over linear
+        combinations of the polynomials ps, reduced once at the end."""
         acc = ()
-        for c, p in zip(cs, ps):
-            if not self._is_zero(c):
-                acc = self._padd(acc, self._pmul((c,), p))
-        return acc
+        for c in reversed(cs):
+            acc = self._padd(self._pmul(acc, q), self._pdot(c, ps))
+        return self._prem(acc, m)
 
     def _pcompose(self, a, q, m=None):
         """a(q) by Horner, reduced mod m after each step when m is given."""
@@ -361,64 +368,127 @@ class _FractionField(Field):
         return [n if d == den else mul(n, den if d == one else div(den, d))
                 for n, d in a], den
 
+    def _clear_polys(self, ps):
+        """(numerator lists, den) of the polynomials ps, as ``_clear``."""
+        flat, den = self._clear([c for p in ps for c in p])
+        it = iter(flat)
+        return [list(itertools.islice(it, len(p))) for p in ps], den
+
+    def _finish(self, nums, den):
+        """The payload nums / den, each coefficient normalized once."""
+        reduce = self._reduce
+        return self._ptrim([reduce(c, den) for c in nums])
+
     def _pmul(self, a, b):
-        if not a or not b:
-            return ()
-        add, mul = self._nadd, self._nmul
         (a, da), (b, db) = self._clear(a), self._clear(b)
         out = [self._nzero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        den, reduce = mul(da, db), self._reduce
-        return self._ptrim([reduce(c, den) for c in out])
+        return self._finish(_conv(self._nadd, self._nmul, a, b, out),
+                            self._nmul(da, db))
+
+    def _pdot(self, cs, ps):
+        pairs = [(c, p) for c, p in zip(cs, ps) if c[0] and p]
+        scalars, dc = self._clear([c for c, _ in pairs])
+        polys, dp = self._clear_polys([p for _, p in pairs])
+        out = [self._nzero] * max(map(len, polys), default=0)
+        return self._finish(_dot(self._nadd, self._nmul, scalars, polys, out),
+                            self._nmul(dc, dp))
 
     def _pdivide(self, a, b, want_quo):
-        # the common-denominator loop builds and normalizes the quotient only
-        # when ``want_quo``
+        # with a = an/da, an = quo*bn + rem in the numerator ring gives
+        # a = (quo*db/da)*b + rem/da; the quotient is built only when asked
         if not b:
             raise DivisionByZero("polynomial division by zero")
         if len(a) < len(b):
             return want_quo and (), self._ptrim(a)
-        bn, db = self._clear(b)
-        unit = self._unit_inv(bn[-1])
-        if unit is None:
+        div = _cleared_divisor(self, b)
+        if div is None:
             return Field._pdivide(self, a, b, want_quo)
-        # scale bn to monic by the unit and db with it; then, with
-        # a = an/da, an = quo*bn + rem in the numerator ring gives
-        # a = (quo*db/da)*b + rem/da
-        add, mul, reduce = self._nadd, self._nmul, self._reduce
-        neg_bn = [self._nneg(mul(c, unit)) for c in bn]
-        db = mul(db, unit)
         rem, da = self._clear(a)
-        nb = len(bn) - 1
-        quo = [self._nzero] * max(len(rem) - nb, 1) if want_quo else None
-        while len(rem) > nb:
-            top = rem.pop()
-            if not top:
-                continue
-            k = len(rem) - nb
-            if want_quo:
-                quo[k] = top
-            for j in range(nb):
-                rem[k + j] = add(rem[k + j], mul(top, neg_bn[j]))
-        quo = want_quo and self._ptrim([reduce(mul(c, db), da) for c in quo])
-        return quo, self._ptrim([reduce(c, da) for c in rem])
+        quo = [self._nzero] * (len(rem) - len(b) + 1) if want_quo else None
+        _reduce_by(self._nadd, self._nmul, None, rem, div[0], quo)
+        return (want_quo and self._finish(
+            [self._nmul(c, div[1]) for c in quo], da), self._finish(rem, da))
 
-    def _pdot(self, cs, ps):
-        pairs = [(c, p) for c, p in zip(cs, ps) if c[0] and p]
-        add, mul = self._nadd, self._nmul
-        scalars, dc = self._clear([c for c, _ in pairs])
-        coeffs, dp = self._clear([x for _, p in pairs for x in p])
-        out = [self._nzero] * max((len(p) for _, p in pairs), default=0)
-        coeffs = iter(coeffs)
-        for s, (_, p) in zip(scalars, pairs):
-            for i, x in zip(range(len(p)), coeffs):
+    def _pconvmod(self, xs, ys, m):
+        div = _cleared_divisor(self, m)
+        if div is None:
+            return Field._pconvmod(self, xs, ys, m)
+        (xs, dx), (ys, dy) = self._clear_polys(xs), self._clear_polys(ys)
+        add, mul, k = self._nadd, self._nmul, len(xs)
+        width = max(map(len, xs), default=0) + max(map(len, ys), default=0)
+        out = [[self._nzero] * (width - 1) for _ in xs]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys[:k - i]):
+                _conv(add, mul, x, y, out[i + j])
+        return [self._finish(_reduce_by(add, mul, None, c, div[0]),
+                             mul(dx, dy)) for c in out]
+
+    def _phorner(self, cs, ps, q, m):
+        div, (qn, dq) = _cleared_divisor(self, m), self._clear(q)
+        if div is None or dq != self._none:
+            return Field._phorner(self, cs, ps, q, m)
+        ps = ps[:max(map(len, cs), default=0)]
+        (cs, dc), (ps, dp) = self._clear_polys(cs), self._clear_polys(ps)
+        add, mul, acc = self._nadd, self._nmul, []
+        width = max(map(len, ps), default=0)
+        for c in reversed(cs):
+            out = [self._nzero] * max(len(acc) + len(qn) - 1, width)
+            acc = _dot(add, mul, c, ps, _conv(add, mul, acc, qn, out))
+        return self._finish(_reduce_by(add, mul, None, acc, div[0]),
+                            mul(dc, dp))
+
+
+@functools.lru_cache(maxsize=256)
+def _cleared_divisor(field, b):
+    """(-bn, db) for the divisor b = bn/db of a fraction field, cleared and
+    scaled so that bn is monic, or None when the cleared leading coefficient
+    is not a unit; a fixed divisor, such as a modulus, is cleared once."""
+    bn, db = field._clear(b)
+    unit = field._unit_inv(bn[-1])
+    if unit is None:
+        return None
+    mul = field._nmul
+    return tuple(field._nneg(mul(c, unit)) for c in bn), mul(db, unit)
+
+
+def _conv(add, mul, a, b, out):
+    """out plus a * b, for coefficient lists over a ring with ``add`` and
+    ``mul``, in place; a falsy coefficient is a zero that is skipped."""
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def _dot(add, mul, cs, ps, out):
+    """out plus sum cs[i] * ps[i], as ``_conv``, in place."""
+    for s, p in zip(cs, ps):
+        if s:
+            for i, x in enumerate(p):
                 if x:
                     out[i] = add(out[i], mul(s, x))
-        den, reduce = mul(dc, dp), self._reduce
-        return self._ptrim([reduce(c, den) for c in out])
+    return out
+
+
+def _reduce_by(add, mul, neg, rem, b, quo=None, inv=None):
+    """rem mod b, as ``_conv``, in place, ``inv`` the inverse of b's lead
+    (None for 1) and ``neg`` None when b comes negated; the quotient goes
+    into ``quo`` when it is given."""
+    nb = len(b) - 1
+    while len(rem) > nb:
+        top = rem.pop()
+        if top:
+            k = len(rem) - nb
+            if inv is not None:
+                top = mul(top, inv)
+            if quo is not None:
+                quo[k] = top
+            if neg is not None:
+                top = neg(top)
+            for j in range(nb):
+                rem[k + j] = add(rem[k + j], mul(top, b[j]))
+    return rem
 
 
 class Rationals(_FractionField):

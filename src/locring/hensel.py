@@ -4,7 +4,11 @@ Provides the shift certificate P(X+Q) = P + P'Q + R Q^2, the iterative root
 series U with P(U) = R_cert * P^k, the induced embedding of the residue field
 K[X]/(P) into K[X]/(P^k), and the digit expansion of elements along the
 basis 1, P, ..., P^{k-1} over the embedded residue field.  The digit layer
-runs on payloads through the embedding's table and boxes only its results.
+runs on payloads and boxes only its results.  ``to_digits`` is a K-linear
+map: a P-adic expansion, then per digit one ``_pdot`` on d = deg P columns
+(the digits of X^i, i < d) built per (P, k) by the step loop that holds
+the exactness check.  Each digit chain is one kernel call, so over Q and
+F_p(t) each digit is normalized once.
 """
 
 from __future__ import annotations
@@ -101,6 +105,28 @@ def _embedding(p, k):
     return StabilizingMorphism(source, source.at_power(k), IDENTITY, u)
 
 
+@functools.lru_cache(maxsize=128)
+def _digit_columns(embed, k):
+    """``to_digits``' table, keyed on the embedding it comes from: entry
+    [m][i] is digit m of X^i, i < deg P.  X's digits come from the step
+    loop (strip the residue, subtract its embedded image, divide exactly by
+    P), which raises InexactDivision unless ``embed`` is a section; the
+    level-k embedding serves every step, as it agrees with the level-(k-j)
+    one mod P^(k-j).  The powers follow by ``digits_mul``'s convolution."""
+    f, p = embed.source.field, embed.source.p.payload
+    x = Poly.x(f).payload
+    xs = [f._prem(x, p)]
+    while len(xs) < k:
+        x, r = f._pdivmod(f._padd(x, f._pneg(embed._apply(xs[-1]))), p)
+        if r:
+            raise InexactDivision("P does not divide a digit step's remainder")
+        xs.append(f._prem(x, p))
+    cols = [[(f._from_int(1),)] + [()] * (k - 1), xs][:len(p) - 1]
+    while len(cols) < len(p) - 1:
+        cols.append(f._pconvmod(cols[-1], xs, p))
+    return tuple(zip(*cols))
+
+
 @dataclass(frozen=True)
 class ResidueDigits:
     """Digits a_0..a_{k-1} in K[X]/(P) of an element of K[X]/(P^k), so that
@@ -121,35 +147,33 @@ class ResidueDigits:
 
 
 def to_digits(a):
-    """Digit expansion: repeatedly strip the residue of the element, subtract
-    its embedded image and divide the representative exactly by P.
-
-    The level-k embedding agrees with the level-(k-j) one modulo P^(k-j), so
-    it serves every step; the representative keeps degree < k * deg P."""
+    """Digit expansion, a K-linear map: with the plain P-adic expansion
+    a = sum r_j P^j (deg r_j < d = deg P), digit m is sum_{j<=m} sum_i
+    r_j[i] * digit (m-j) of X^i, one ``_pdot`` on ``_digit_columns``, which
+    raises InexactDivision when the embedding is not a section."""
     ring, x = a.ring, a.rep.payload
-    f, p, embed = ring.field, ring.p.payload, _embedding(ring.p, ring.n)
-    digits = [f._prem(x, p)]
-    while len(digits) < ring.n:
-        x, r = f._pdivmod(f._padd(x, f._pneg(embed._apply(digits[-1]))), p)
-        if r:
-            raise InexactDivision("P does not divide a digit step's remainder")
-        digits.append(f._prem(x, p))
-    return ResidueDigits(ring, tuple(
-        QuotientElement(embed.source, Poly._of(f, d)) for d in digits))
+    f, p, k = ring.field, ring.p.payload, ring.n
+    embed = _embedding(ring.p, k)
+    cols = _digit_columns(embed, k)
+    zero, d, rs = f._from_int(0), len(p) - 1, []
+    for _ in range(k):
+        x, r = f._pdivmod(x, p)
+        rs.extend(r + (zero,) * (d - len(r)))
+    return ResidueDigits(ring, tuple(QuotientElement(embed.source, Poly._of(
+        f, f._pdot(rs[:d * (m + 1)], [c for col in cols[m::-1] for c in col])))
+        for m in range(k)))
 
 
 def from_digits(d):
     """Evaluate the digit vector: sum embed(a_j) * P^j in K[X]/(P^k), by
-    Horner in P with one reduction mod P^k at the end."""
+    Horner in P on the embedding's powers of U, reduced once at the end."""
     ring = d.ring
     if len(d.digits) != ring.n:
         raise ValueError(f"expected {ring.n} digits, got {len(d.digits)}")
-    embed = _embedding(ring.p, ring.n)
-    f, p, acc = ring.field, ring.p.payload, ()
-    for digit in reversed(d.digits):
-        acc = f._padd(f._pmul(acc, p), embed._apply(digit.rep.payload))
-    return QuotientElement(ring, Poly._of(
-        f, f._prem(acc, ring.modulus.payload)))
+    f, images = ring.field, _embedding(ring.p, ring.n).images
+    return QuotientElement(ring, Poly._of(f, f._phorner(
+        [a.rep.payload for a in d.digits], images, ring.p.payload,
+        ring.modulus.payload)))
 
 
 def digits_mul(d1, d2):
@@ -157,16 +181,12 @@ def digits_mul(d1, d2):
     vectors, each output coefficient reduced mod P once."""
     if d1.ring != d2.ring:
         raise ValueError("digit vectors from different rings")
-    ring, k = d1.ring, d1.ring.n
-    f, residue_ring = ring.field, _embedding(ring.p, k).source
-    ys = [b.rep.payload for b in d2.digits]
-    out = [()] * k
-    for i, a in enumerate(d1.digits):
-        for j, y in enumerate(ys[:k - i]):
-            out[i + j] = f._padd(out[i + j], f._pmul(a.rep.payload, y))
-    return ResidueDigits(ring, tuple(QuotientElement(
-        residue_ring, Poly._of(f, f._prem(c, ring.p.payload)))
-        for c in out))
+    ring, f = d1.ring, d1.ring.field
+    residue_ring = _embedding(ring.p, ring.n).source
+    out = f._pconvmod([a.rep.payload for a in d1.digits],
+                      [b.rep.payload for b in d2.digits], ring.p.payload)
+    return ResidueDigits(ring, tuple(
+        QuotientElement(residue_ring, Poly._of(f, c)) for c in out))
 
 
 @dataclass(frozen=True)

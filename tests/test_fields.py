@@ -570,7 +570,11 @@ def test_library_caches_are_bounded_and_clear():
     t = F2T.gen()
     assert (t + 1) / (t * t + 1) + t / (t + 1) == 1  # (t+1)^2 = t^2+1
     caches = library_caches()
-    assert {"_fp_reduce", "_fp_lcm", "_fp_quo", "is_irreducible"} <= {
+    ring = L.QuotientRing(L.parse_poly(F2T, "x^2+x+t"), 2,
+                          assume_irreducible=True)
+    assert L.from_digits(L.to_digits(ring.gen() ** 3)) == ring.gen() ** 3
+    assert {"_fp_reduce", "_fp_lcm", "_fp_quo", "is_irreducible",
+            "_cleared_divisor", "_digit_columns"} <= {
         cache.__name__ for cache in caches}
     for cache in caches:
         assert cache.cache_info().maxsize is not None, cache.__name__

@@ -12,15 +12,20 @@ from locring.hensel import (
     digits_mul,
     structure_isomorphism_check,
 )
-from locring.poly import Poly
+from locring.poly import Poly, exact_div
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
+F3T = L.RationalFunctionField(3, "t")
 F4 = L.ExtensionField(F2, (1, 1, 1))
-# coefficient payloads: int pairs, pairs of tuples and nested tuples
-PAYLOAD_KINDS = [(Q, "x^2-2"), (F2T, "x^2+x+t"), (F4, "x^2+x+a")]
+F16 = L.parse_field("F2[x]/(x^2+x+1)[x]/(x^2+x+a)")
+# coefficient payloads: int pairs, pairs of tuples and nested tuples; the
+# last two moduli clear to leading numerators 2 and t, which are not units,
+# so every digit chain over them takes the generic division
+PAYLOAD_KINDS = [(Q, "x^2-2"), (F2T, "x^2+x+t"), (F4, "x^2+x+a"),
+                 (Q, "x^2-1/2"), (F3T, "x^2+x/t+1")]
 
 
 def P(field, text):
@@ -293,6 +298,50 @@ def test_to_digits_keeps_its_exactness_check(monkeypatch):
     monkeypatch.setattr(hensel, "_embedding", lambda p, k: Shifted)
     with pytest.raises(InexactDivision):
         L.to_digits(ring.gen())
+
+
+# -- the digit layer against its boxed definitions -------------------------
+
+DIGIT_CASES = [(Q, "x^2-2"), (F2T, "x^3+x+t"), (F3T, "x^2+x/t+1"),
+               (F3, "x^2+1"), (F4, "x^2+x+a"), (F16, "x^2+x+a*b")]
+
+
+def _step_digits(a, embed):
+    """The step loop on boxed polynomials: strip the residue, subtract its
+    embedded image and divide exactly by P."""
+    x, digits = a.rep, []
+    for _ in range(a.ring.n):
+        digits.append(embed.source.element(x))
+        x = exact_div(x - embed(digits[-1]).rep, a.ring.p)
+    return tuple(digits)
+
+
+def _check_digit_layer(field, ptext, k, rng):
+    ring = _ring(field, ptext, k)
+    embed = L.embed_residue_field(ring.p, k, assume_irreducible=True)
+    a, b = ring.random_element(rng), ring.random_element(rng)
+    d = L.to_digits(a)
+    assert d.digits == _step_digits(a, embed)
+    boxed = sum((embed(x).rep * ring.p ** j for j, x in enumerate(d)),
+                Poly.zero(field))
+    assert L.from_digits(d).rep == boxed % ring.modulus
+    assert (a * b).rep == (a.rep * b.rep) % ring.modulus
+    assert digits_mul(d, L.to_digits(b)) == L.to_digits(a * b)
+
+
+@pytest.mark.parametrize("field,ptext", DIGIT_CASES, ids=repr)
+def test_digit_layer_matches_its_definitions(field, ptext):
+    # to_digits is the step loop that builds its table, from_digits is
+    # sum embed(a_j) P^j, digits_mul is to_digits of the ring product, and
+    # that product is (a.rep * b.rep) mod P^k
+    rng = random.Random(7)
+    for k in range(1, 7):
+        for _ in range(2):
+            _check_digit_layer(field, ptext, k, rng)
+
+
+def test_digit_layer_matches_its_definitions_at_power_16():
+    _check_digit_layer(F2T, "x^3+x+t", 16, random.Random(8))
 
 
 # -- structure isomorphism check -------------------------------------------
