@@ -2,16 +2,18 @@
 demo-inseparable.
 
 Exit codes: 0 success, 1 verification failure (a mathematical counterexample
-was found), 2 usage or input error.
+was found), 2 usage or input error, or stdout or stderr closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .errors import (InvalidArgument, LocringError, NotSeparable, ParseError,
@@ -352,13 +354,24 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except LocringError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        message = f"error: {type(e).__name__}: {e}"
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = f"error: {e}"
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+    # a stream into a pipe whose reader has exited keeps its unwritten text,
+    # and Python's flush of it at exit would fail with status 120
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return 2
 
 
 if __name__ == "__main__":

@@ -13,37 +13,38 @@ is equality of payloads.  Supported fields:
 
 Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
-add and multiply up to composition, powering and Euclid, uses the field's own
-scalar ops.  Division is one routine, ``_pdivide(a, b, want_quo)``, which
-builds the quotient only when asked; ``_pdivmod`` and ``_prem`` (the
-remainder alone) call it.  Two fused entries serve the digit layer: the
-truncated convolution ``_pconvmod`` of digit vectors and the Horner sum
-``_phorner`` of ``from_digits``; the generic version of each is the
-composition of the calls above.  The loops are ``_conv``, ``_dot`` and
-``_reduce_by``, on any ring's add and multiply.
-A field overrides a kernel entry only where that measures faster (cases/s
-lost with the override removed, in three alternating 5 s benchmark pairs,
-or, marked "pass", time added to an in-process pass of four, seed 0, 2-CPU
-x86-64 host, Python 3.11):
+add and multiply up to composition, powering and Euclid.  Division is one
+routine, ``_pdivide(a, b, want_quo)``, which builds the quotient only when
+asked; ``_pdivmod`` and ``_prem`` (the remainder alone) call it.  Two fused
+entries serve the digit layer: the truncated convolution ``_pconvmod`` of
+digit vectors and the Horner sum ``_phorner`` of ``from_digits``.
 
-  * ``PrimeField._pmul``, ``_pdivide`` and ``_pdot`` run on plain ints and
-    reduce mod p once per output coefficient (search 10-21 %; digits 6-9 %
-    and search 8-17 %; digits 3-21 %);
-  * ``_FractionField`` (Q and F_p(t)) clears the operands of ``_pmul``,
-    ``_pdivide``, ``_pdot``, ``_pconvmod`` and ``_phorner`` to numerators
-    over one common denominator, loops in Z or F_p[t] and normalizes each
-    output coefficient once (generic 0-14 %, 12-16 %, 0-8 %, pass 5 % and
-    2 %; a fused product mod m measured pass 0-1 % and was left out); a
-    divisor whose cleared leading coefficient is not a unit takes the
-    generic version;
-  * an ``ExtensionField`` of order at most 32 multiplies, inverts and adds
-    by log and Zech tables (generic 24-28 %; the bound is measured there).
+The five entries that loop, ``_pmul``, ``_pdot``, ``_pdivide``,
+``_pconvmod`` and ``_phorner``, are each written once, in ``Field``, on the
+field's numerator ring: ``_clear`` takes the operands to numerators over
+one common denominator, the loops ``_conv``, ``_dot`` and ``_reduce_by``
+run there, and ``_finish`` normalizes each output coefficient once.  Q and
+F_p(t) clear to Z and F_p[t], F_p is Z reduced mod p in ``_finish``, and an
+extension field is its own numerator ring.  ``_cleared_divisor`` clears a
+divisor once; where its cleared leading coefficient is not a unit (Q's
+x^2 - 1/2 clears to 2x^2 - 1), ``_reduce_by`` is pseudo-division (Knuth,
+TAOCP 2, 4.6.1), and the result's denominator takes a factor of that
+coefficient per step.
+
+``PrimeField._pmul``, ``_pdivide`` and ``_pdot`` are the kernel's only
+overrides: they run on plain ints and reduce mod p once per output
+coefficient, and each measured faster than the loop it replaces (cases/s
+lost with the override removed, in three alternating 5 s benchmark pairs,
+seed 0, 2-CPU x86-64 host, Python 3.11: search 10-21 %; digits 6-9 % and
+search 8-17 %; digits 3-21 %).  An ``ExtensionField`` of order at most 32
+multiplies, inverts and adds by log and Zech tables (generic 24-28 %; the
+bound is measured there).
 
 F_p(t) keeps its F_p[t] Euclid in bounded caches on (F_p, operands):
 ``_fp_reduce`` (4,096 entries), ``_fp_lcm`` and ``_fp_quo`` (1,024 each) hit
 73 %, 96 % and 96 % of their calls in a generic benchmark pass; they pay
 off only where fractions repeat.  ``_cleared_divisor`` (256 entries) clears
-a fixed divisor, such as a modulus, once; it hits 95 % there.
+a fixed divisor, such as a modulus, once; it hits 90 % there.
 
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
 ``F_p[x]/(m)`` all run on this kernel.  ``FieldAutomorphism.on`` alone says
@@ -167,6 +168,25 @@ class Field:
     def random_payload(self, rng):
         raise NotImplementedError
 
+    # the numerator ring, where the kernel's loops run: a subclass supplies
+    # ``_nzero``, ``_none``, ``_nadd``, ``_nmul``, ``_nneg`` and ``_unit_inv``
+    # (the inverse of a unit, None for a non-unit).  Without a ``_clear`` of
+    # its own, a payload is its own numerator over 1; every leading
+    # coefficient is then a unit, so every denominator stays 1
+    def _clear(self, a):
+        """(numerators, den): a new list, and one common denominator with
+        a[i] = numerators[i] / den."""
+        return list(a), self._none
+
+    def _clear_polys(self, ps):
+        """(numerators, den) of the polynomials ps, as ``_clear``; the
+        numerators are read, not written."""
+        return ps, self._none
+
+    def _finish(self, nums, den):
+        """The payload nums / den, each coefficient normalized once."""
+        return self._ptrim(nums)
+
     # dense polynomial kernel on payload sequences: ascending degree, results
     # are tuples with no trailing zeros, () is the zero polynomial
     def _ptrim(self, a):
@@ -187,8 +207,10 @@ class Field:
         return tuple(self._neg(c) for c in a)
 
     def _pmul(self, a, b):
-        out = [self._from_int(0)] * (len(a) + len(b) - 1)
-        return self._ptrim(_conv(self._add, self._mul, a, b, out))
+        (a, da), (b, db) = self._clear(a), self._clear(b)
+        out = [self._nzero] * (len(a) + len(b) - 1)
+        return self._finish(_conv(self._nadd, self._nmul, a, b, out),
+                            self._nmul(da, db))
 
     def _pdivmod(self, a, b):
         return self._pdivide(a, b, True)
@@ -199,17 +221,20 @@ class Field:
 
     def _pdivide(self, a, b, want_quo):
         """(quotient, remainder) of a by b, building the quotient only when
-        ``want_quo`` (else it is False); the one division a field overrides."""
+        ``want_quo`` (else it is False); the one division a field overrides.
+        With a = an/da and b = bn/db, an = quo*bn + rem over den = da *
+        lead^steps (``_cleared_divisor``, ``_reduce_by``) gives a =
+        (quo*db/den)*b + rem/den."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        # a monic divisor needs no inverse, which over an extension field
-        # is a full extended Euclid
-        inv = None if b[-1] == self._from_int(1) else self._inv(b[-1])
-        rem = list(a)
-        quo = ([self._from_int(0)] * max(len(rem) - len(b) + 1, 1)
-               if want_quo else None)
-        _reduce_by(self._add, self._mul, self._neg, rem, b, quo, inv)
-        return want_quo and self._ptrim(quo), self._ptrim(rem)
+        if len(a) < len(b):
+            return want_quo and (), self._ptrim(a)
+        div, (rem, den) = _cleared_divisor(self, b), self._clear(a)
+        quo = [self._nzero] * (len(rem) - len(b) + 1) if want_quo else None
+        den = _reduce_by(self._nadd, self._nmul, rem, div, den, quo)
+        if want_quo and div[1] != self._none:
+            quo = [self._nmul(c, div[1]) for c in quo]
+        return want_quo and self._finish(quo, den), self._finish(rem, den)
 
     def _pmonic(self, a):
         if not a or a[-1] == self._from_int(1):
@@ -225,26 +250,45 @@ class Field:
     def _pdot(self, cs, ps):
         """The linear combination sum(c * p) of the polynomials ``ps`` by the
         scalars ``cs``, pairing them as ``zip`` does."""
-        width = max((len(p) for _, p in zip(cs, ps)), default=0)
-        return self._ptrim(_dot(self._add, self._mul, cs, ps,
-                                [self._from_int(0)] * width))
+        pairs = [(c, p) for c, p in zip(cs, ps) if p and not self._is_zero(c)]
+        scalars, dc = self._clear([c for c, _ in pairs])
+        polys, dp = self._clear_polys([p for _, p in pairs])
+        out = [self._nzero] * max(map(len, polys), default=0)
+        return self._finish(_dot(self._nadd, self._nmul, scalars, polys, out),
+                            self._nmul(dc, dp))
 
     def _pconvmod(self, xs, ys, m):
         """The product of sum xs[i] Y^i and sum ys[j] Y^j, polynomials in Y
         over K[X]/(m), truncated to len(xs) terms; each term reduced once."""
-        k, out = len(xs), [()] * len(xs)
+        div = _cleared_divisor(self, m)
+        (xs, dx), (ys, dy) = self._clear_polys(xs), self._clear_polys(ys)
+        add, mul, k = self._nadd, self._nmul, len(xs)
+        width = max(map(len, xs), default=0) + max(map(len, ys), default=0)
+        out = [[self._nzero] * (width - 1) for _ in xs]
         for i, x in enumerate(xs):
             for j, y in enumerate(ys[:k - i]):
-                out[i + j] = self._padd(out[i + j], self._pmul(x, y))
-        return [self._prem(c, m) for c in out]
+                _conv(add, mul, x, y, out[i + j])
+        den = mul(dx, dy)
+        return [self._finish(c, _reduce_by(add, mul, c, div, den))
+                for c in out]
 
     def _phorner(self, cs, ps, q, m):
-        """sum_j q^j * sum_i cs[j][i] * ps[i] mod m: Horner in q over linear
-        combinations of the polynomials ps, reduced once at the end."""
-        acc = ()
+        """sum_j q^j * sum_i cs[j][i] * ps[i] mod m: Horner in q = qn/dq over
+        linear combinations of the polynomials ps, reduced once at the end.
+        The q^j term, j <= J, is scaled by dq^(J+1-j), and the sum divided
+        by dq^(J+1), so the loop stays in the numerator ring."""
+        div = _cleared_divisor(self, m)
+        (qn, dq), ps = self._clear(q), ps[:max(map(len, cs), default=0)]
+        (cs, dc), (ps, dp) = self._clear_polys(cs), self._clear_polys(ps)
+        add, mul, acc, scale = self._nadd, self._nmul, [], self._none
+        width = max(map(len, ps), default=0)
         for c in reversed(cs):
-            acc = self._padd(self._pmul(acc, q), self._pdot(c, ps))
-        return self._prem(acc, m)
+            scale = mul(scale, dq)
+            out = [self._nzero] * max(len(acc) + len(qn) - 1, width)
+            acc = _dot(add, mul, [mul(scale, s) for s in c], ps,
+                       _conv(add, mul, acc, qn, out))
+        den = _reduce_by(add, mul, acc, div, mul(mul(scale, dc), dp))
+        return self._finish(acc, den)
 
     def _pcompose(self, a, q, m=None):
         """a(q) by Horner, reduced mod m after each step when m is given."""
@@ -314,18 +358,14 @@ class Field:
 
 class _FractionField(Field):
     """A fraction field, Q or F_p(t): an element is a reduced pair
-    (numerator, denominator) over the numerator ring Z or F_p[t], and
-    polynomial operands are cleared to numerators over one common
-    denominator, so the kernel loops run in the numerator ring and each
-    output coefficient is normalized once.  Addition is Henrici's (Knuth,
-    TAOCP 2, 4.5.1): a gcd only where both denominators differ from 1, one
-    over the shared denominator where they are equal; most sums in the
-    kernel have a zero operand or a denominator of 1.
+    (numerator, denominator) over the numerator ring Z or F_p[t], where the
+    kernel's loops run.  Addition is Henrici's (Knuth, TAOCP 2, 4.5.1): a
+    gcd only where both denominators differ from 1, one over the shared
+    denominator where they are equal; most sums in the kernel have a zero
+    operand or a denominator of 1.
 
-    A subclass supplies the numerator ring: ``_nzero``, ``_none``,
-    ``_nadd``, ``_nmul``, ``_nneg``, ``_ndiv`` (exact division), ``_nlcm``,
-    ``_unit_inv`` (the inverse of a unit, None for a non-unit) and
-    ``_reduce(n, d)``, the payload of n/d."""
+    A subclass supplies the numerator ring, with ``_ndiv`` (exact
+    division), ``_nlcm`` and ``_reduce(n, d)``, the payload of n/d."""
 
     def _add(self, a, b):
         # b is reduced, so gcd(na*db + nb, db) = gcd(nb, db) = 1
@@ -358,7 +398,6 @@ class _FractionField(Field):
         return not a[0]
 
     def _clear(self, a):
-        """(numerators, den) with a[i] = numerators[i] / den."""
         one = self._none
         den = one
         for _, d in a:
@@ -375,80 +414,21 @@ class _FractionField(Field):
         return [list(itertools.islice(it, len(p))) for p in ps], den
 
     def _finish(self, nums, den):
-        """The payload nums / den, each coefficient normalized once."""
         reduce = self._reduce
         return self._ptrim([reduce(c, den) for c in nums])
-
-    def _pmul(self, a, b):
-        (a, da), (b, db) = self._clear(a), self._clear(b)
-        out = [self._nzero] * (len(a) + len(b) - 1)
-        return self._finish(_conv(self._nadd, self._nmul, a, b, out),
-                            self._nmul(da, db))
-
-    def _pdot(self, cs, ps):
-        pairs = [(c, p) for c, p in zip(cs, ps) if c[0] and p]
-        scalars, dc = self._clear([c for c, _ in pairs])
-        polys, dp = self._clear_polys([p for _, p in pairs])
-        out = [self._nzero] * max(map(len, polys), default=0)
-        return self._finish(_dot(self._nadd, self._nmul, scalars, polys, out),
-                            self._nmul(dc, dp))
-
-    def _pdivide(self, a, b, want_quo):
-        # with a = an/da, an = quo*bn + rem in the numerator ring gives
-        # a = (quo*db/da)*b + rem/da; the quotient is built only when asked
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
-        if len(a) < len(b):
-            return want_quo and (), self._ptrim(a)
-        div = _cleared_divisor(self, b)
-        if div is None:
-            return Field._pdivide(self, a, b, want_quo)
-        rem, da = self._clear(a)
-        quo = [self._nzero] * (len(rem) - len(b) + 1) if want_quo else None
-        _reduce_by(self._nadd, self._nmul, None, rem, div[0], quo)
-        return (want_quo and self._finish(
-            [self._nmul(c, div[1]) for c in quo], da), self._finish(rem, da))
-
-    def _pconvmod(self, xs, ys, m):
-        div = _cleared_divisor(self, m)
-        if div is None:
-            return Field._pconvmod(self, xs, ys, m)
-        (xs, dx), (ys, dy) = self._clear_polys(xs), self._clear_polys(ys)
-        add, mul, k = self._nadd, self._nmul, len(xs)
-        width = max(map(len, xs), default=0) + max(map(len, ys), default=0)
-        out = [[self._nzero] * (width - 1) for _ in xs]
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys[:k - i]):
-                _conv(add, mul, x, y, out[i + j])
-        return [self._finish(_reduce_by(add, mul, None, c, div[0]),
-                             mul(dx, dy)) for c in out]
-
-    def _phorner(self, cs, ps, q, m):
-        div, (qn, dq) = _cleared_divisor(self, m), self._clear(q)
-        if div is None or dq != self._none:
-            return Field._phorner(self, cs, ps, q, m)
-        ps = ps[:max(map(len, cs), default=0)]
-        (cs, dc), (ps, dp) = self._clear_polys(cs), self._clear_polys(ps)
-        add, mul, acc = self._nadd, self._nmul, []
-        width = max(map(len, ps), default=0)
-        for c in reversed(cs):
-            out = [self._nzero] * max(len(acc) + len(qn) - 1, width)
-            acc = _dot(add, mul, c, ps, _conv(add, mul, acc, qn, out))
-        return self._finish(_reduce_by(add, mul, None, acc, div[0]),
-                            mul(dc, dp))
 
 
 @functools.lru_cache(maxsize=256)
 def _cleared_divisor(field, b):
-    """(-bn, db) for the divisor b = bn/db of a fraction field, cleared and
-    scaled so that bn is monic, or None when the cleared leading coefficient
-    is not a unit; a fixed divisor, such as a modulus, is cleared once."""
+    """(-bn, db, lead, inv) for the divisor b = bn/db cleared to the
+    numerator ring of ``field``, once for a fixed divisor such as a
+    modulus.  Where bn's leading coefficient is 1, lead and inv are None;
+    where it is another unit, inv is its inverse; else lead is it."""
     bn, db = field._clear(b)
-    unit = field._unit_inv(bn[-1])
-    if unit is None:
-        return None
-    mul = field._nmul
-    return tuple(field._nneg(mul(c, unit)) for c in bn), mul(db, unit)
+    lead = None if bn[-1] == field._none else bn[-1]
+    inv = None if lead is None else field._unit_inv(lead)
+    return (tuple(map(field._nneg, bn)), db,
+            None if inv is not None else lead, inv)
 
 
 def _conv(add, mul, a, b, out):
@@ -471,10 +451,13 @@ def _dot(add, mul, cs, ps, out):
     return out
 
 
-def _reduce_by(add, mul, neg, rem, b, quo=None, inv=None):
-    """rem mod b, as ``_conv``, in place, ``inv`` the inverse of b's lead
-    (None for 1) and ``neg`` None when b comes negated; the quotient goes
-    into ``quo`` when it is given."""
+def _reduce_by(add, mul, rem, div, den, quo=None):
+    """rem mod the divisor ``div`` of ``_cleared_divisor``, over the
+    denominator den, as ``_conv``, in place; the quotient goes into ``quo``
+    when it is given.  Where the divisor's leading coefficient is not a
+    unit this is pseudo-division (Knuth, TAOCP 2, 4.6.1): each step first
+    multiplies rem and quo by it, and den with them.  Returns den."""
+    b, _, lead, inv = div
     nb = len(b) - 1
     while len(rem) > nb:
         top = rem.pop()
@@ -482,13 +465,16 @@ def _reduce_by(add, mul, neg, rem, b, quo=None, inv=None):
             k = len(rem) - nb
             if inv is not None:
                 top = mul(top, inv)
+            elif lead is not None:
+                rem[:] = [mul(lead, c) for c in rem]
+                if quo is not None:
+                    quo[k + 1:] = [mul(lead, c) for c in quo[k + 1:]]
+                den = mul(den, lead)
             if quo is not None:
                 quo[k] = top
-            if neg is not None:
-                top = neg(top)
             for j in range(nb):
                 rem[k + j] = add(rem[k + j], mul(top, b[j]))
-    return rem
+    return den
 
 
 class Rationals(_FractionField):
@@ -593,7 +579,19 @@ class PrimeField(Field):
     def random_payload(self, rng):
         return rng.randrange(self.p)
 
-    # the polynomial kernel on plain ints, reducing mod p as late as possible
+    # the numerator ring Z, reduced mod p only in ``_finish``, so a lead's
+    # inverse mod p serves as its inverse; the measured int loops below are
+    # the kernel's only overrides
+    _nzero, _none = 0, 1
+    _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
+
+    def _unit_inv(self, c):
+        return pow(c, -1, self.p)
+
+    def _finish(self, nums, den):
+        p = self.p
+        return self._ptrim([c % p for c in nums])
+
     def _pmul(self, a, b):
         if not a or not b:
             return ()
@@ -762,6 +760,7 @@ class ExtensionField(Field):
     order 81-729, and a bound of 1,024 cut search from 258 to 215 cases/s.
     """
     _TABLE_ORDER = 32
+    _nzero = ()
 
     def __init__(self, base, min_coeffs, assume_irreducible=False):
         if not (isinstance(base, (PrimeField, Rationals))
@@ -779,10 +778,17 @@ class ExtensionField(Field):
         self.gen_name = string.ascii_lowercase[len(base._gen_names)]
         self._gen_names = base._gen_names + (self.gen_name,)
         self.char = base.char
+        # every cache keyed on the field, its polynomials or its rings hashes
+        # it, and a tower's hash recurses through each level
+        self._hash = hash(("ext", base, min_coeffs))
         from .poly import Poly, check_irreducible
         check_irreducible(Poly(base, min_coeffs), assume_irreducible)
         if self.is_finite() and self.order() <= self._TABLE_ORDER:
             self._build_tables()
+        # a field is its own numerator ring
+        self._none = self._from_int(1)
+        self._nadd, self._nmul, self._nneg = self._add, self._mul, self._neg
+        self._unit_inv = self._inv
 
     def _build_tables(self):
         q, one, mul, add = self.order(), self._from_int(1), self._mul, self._add
@@ -877,7 +883,7 @@ class ExtensionField(Field):
                 and other.min_coeffs == self.min_coeffs)
 
     def __hash__(self):
-        return hash(("ext", self.base, self.min_coeffs))
+        return self._hash
 
     def __repr__(self):
         from .poly import Poly, format_poly
@@ -973,14 +979,8 @@ class FieldElement(_RingValue):
         if not isinstance(e, int):
             return NotImplemented
         f = self.field
-        if e < 0:
-            base = f._inv(self.payload)
-            e = -e
-        else:
-            base = self.payload
-        if isinstance(f, PrimeField):
-            return FieldElement(f, pow(base, e, f.p))
-        return FieldElement(f, _power(f._from_int(1), base, e, f._mul))
+        base = f._inv(self.payload) if e < 0 else self.payload
+        return FieldElement(f, _power(f._from_int(1), base, abs(e), f._mul))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -605,6 +608,32 @@ def test_survey_rejects_infinite_field(capsys):
                        "--max-degree", "1", "--max-power", "1")
     assert code == 2
     assert "finite" in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_and_stderr_exit_2(monkeypatch):
+    # the error report on a closed stderr must not escape as an exception
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    assert main(["survey", "--field", "F3", "--max-degree", "2",
+                 "--max-power", "2"]) == 2
+
+
+def test_piped_survey_exits_2_when_the_reader_exits_early():
+    # head -c 0 exits before the survey writes, closing the pipe that
+    # carries both streams; a buffered stdout fails only when flushed
+    src = pathlib.Path(L.__file__).parents[1]
+    script = (f'"{sys.executable}" -m locring.cli survey --field F3 '
+              '--max-degree 2 --max-power 2 2>&1 | head -c 0; '
+              'exit "${PIPESTATUS[0]}"')
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(["bash", "-c", script], timeout=60,
+                            env={**env, "PYTHONPATH": str(src)})
+    assert result.returncode == 2
 
 
 # -- demo-inseparable --------------------------------------------------------

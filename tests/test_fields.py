@@ -368,6 +368,17 @@ def test_parse_field_reads_tower_descriptors():
     assert L.parse_element(f16, "b^2+b") == a
 
 
+def test_equal_towers_parsed_apart_hash_equal():
+    # the hash is computed once per field; caches keyed on a field need
+    # equal fields to hash equal
+    text = "F2[x]/(x^2+x+1)[x]/(x^2+x+a)[x]/(x^2+(a*b)*x+(a*b))"
+    f256, again = L.parse_field(text), L.parse_field(text)
+    assert f256 is not again and f256 == again
+    assert hash(f256) == hash(again)
+    assert hash(f256.base) == hash(F16) and f256.base == F16
+    assert {f256: 1}[again] == 1
+
+
 def test_parse_field_charges_the_moduli_of_a_tower():
     # degree-2 levels x^2+<generator below>*x+1 over F2: six levels verify
     # in a tenth of a second, the seventh would take about a second
@@ -555,6 +566,41 @@ def test_pdot_matches_the_add_and_multiply_loop(field):
     p = poly(4)
     one = field._from_int(1)
     assert field._pdot([one, field._neg(one)], [p, p]) == ()
+
+
+@pytest.mark.parametrize("field", [F2, F7, Q, F2T, F3T, F9, QSQRT2,
+                                   *POLY_PATH_FIELDS,
+                                   TABLE_FIELDS[4]],  # F16 over F4
+                         ids=repr)
+def test_division_and_fused_entries_match_their_definitions(field):
+    # random divisors are rarely monic: over Q and F_p(t) most clear to a
+    # leading numerator that is not a unit, and divide by pseudo-division
+    rng = random.Random(43)
+    add, mul = field._padd, field._pmul
+
+    def poly(length):
+        return field._ptrim([field.random_payload(rng)
+                             for _ in range(length)])
+    for _ in range(30):
+        a, m = poly(rng.randint(0, 7)), ()
+        while not m:
+            m = poly(rng.randint(1, 4))
+        quo, rem = field._pdivmod(a, m)
+        assert add(mul(quo, m), rem) == a and len(rem) < len(m), (a, m)
+        assert field._prem(a, m) == rem
+        k = rng.randint(1, 4)
+        xs, ys = ([poly(len(m) - 1) for _ in range(k)] for _ in range(2))
+        product = [()] * k
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys[:k - i]):
+                product[i + j] = add(product[i + j], mul(x, y))
+        assert field._pconvmod(xs, ys, m) == [field._prem(c, m)
+                                              for c in product], (xs, ys, m)
+        ps = [poly(rng.randint(0, 4)) for _ in range(3)]
+        cs, q, acc = [poly(3) for _ in range(rng.randint(1, 4))], poly(3), ()
+        for c in reversed(cs):
+            acc = add(mul(acc, q), field._pdot(c, ps))
+        assert field._phorner(cs, ps, q, m) == field._prem(acc, m), (cs, q)
 
 
 def library_caches():
