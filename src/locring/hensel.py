@@ -3,11 +3,12 @@
 Provides the shift certificate P(X+Q) = P + P'Q + R Q^2, the iterative root
 series U with P(U) = R_cert * P^k, the induced embedding of the residue field
 K[X]/(P) into K[X]/(P^k), and the digit expansion of elements along the
-basis 1, P, ..., P^{k-1} over the embedded residue field.  The digit layer
-runs on payloads and boxes only its results.  ``to_digits`` is a K-linear
-map: a P-adic expansion, then per digit one ``_pdot`` on d = deg P columns
-(the digits of X^i, i < d) built per (P, k) by the step loop that holds
-the exactness check.  Each digit chain is one kernel call, so over Q and
+basis 1, P, ..., P^{k-1} over the embedded residue field.  The cached root
+series owns the embedding and the digit table: one state per (P, k).  The
+digit layer runs on payloads and boxes only its results.  ``to_digits`` is
+a K-linear map: a P-adic expansion, then per digit one ``_pdot`` on the
+digits of X^i, i < d = deg P, built by the step loop that holds the
+exactness check.  Each digit chain is one kernel call, so over Q and
 F_p(t) each digit is normalized once.
 """
 
@@ -32,14 +33,14 @@ def taylor_shift_certificate(p, q):
     """
     if q.is_zero():
         return Poly.zero(p.field)
-    x = Poly.x(p.field)
-    num = p.compose(x + q) - p - p.derivative() * q
+    num = p.compose(Poly.x(p.field) + q) - p - p.derivative() * q
     return exact_div(num, q * q)
 
 
 @dataclass(frozen=True)
 class RootSeries:
-    """The data (Q_1..Q_{k-1}, U, R_cert) with P(U) = R_cert * P^k exactly."""
+    """The data (Q_1..Q_{k-1}, U, R_cert) with P(U) = R_cert * P^k exactly;
+    it owns the section ``embedding`` and ``to_digits``' table."""
 
     p: Poly
     k: int
@@ -50,6 +51,22 @@ class RootSeries:
     def certificate_residual(self):
         """P(U) - R_cert * P^k; zero for every valid series."""
         return self.p.compose(self.u) - self.r_cert * self.p ** self.k
+
+    @property
+    def embedding(self):
+        """The section K[X]/(P) -> K[X]/(P^k), X -> U, built on first read."""
+        if not hasattr(self, "_embed"):  # deg U < k * deg P: U is reduced
+            source = QuotientRing(self.p, 1, assume_irreducible=True)
+            object.__setattr__(self, "_embed", StabilizingMorphism(
+                source, source.at_power(self.k), IDENTITY, self.u))
+        return self._embed
+
+    @property
+    def _columns(self):
+        if not hasattr(self, "_cols"):
+            object.__setattr__(self, "_cols",
+                               _digit_columns(self.embedding, self.k))
+        return self._cols
 
 
 def derivative_inverse(p):
@@ -79,9 +96,7 @@ def hensel_root_series(p, k):
     # U = X mod P throughout (Q_0 = 0), so P' o U = P' mod P and one
     # inverse serves every step
     inv_dp = derivative_inverse(p)
-    u = Poly.x(p.field)
-    r = Poly.one(p.field)
-    q_list = []
+    u, r, q_list = Poly.x(p.field), Poly.one(p.field), []
     for j in range(1, k):
         s = (-(r % p) * inv_dp) % p
         q_list.append(s)
@@ -93,21 +108,13 @@ def hensel_root_series(p, k):
 def embed_residue_field(p, k, assume_irreducible=False):
     """The section K[X]/(P) -> K[X]/(P^k) given by X -> U, built once per
     (P, k); unless ``assume_irreducible``, P is checked irreducible."""
-    embed = _embedding(p, k)
+    embed = hensel_root_series(p, k).embedding
     check_irreducible(p, assume_irreducible)
     return embed
 
 
-@functools.lru_cache(maxsize=128)
-def _embedding(p, k):
-    u = hensel_root_series(p, k).u  # deg U < k * deg P, so U is reduced
-    source = QuotientRing(p, 1, assume_irreducible=True)
-    return StabilizingMorphism(source, source.at_power(k), IDENTITY, u)
-
-
-@functools.lru_cache(maxsize=128)
 def _digit_columns(embed, k):
-    """``to_digits``' table, keyed on the embedding it comes from: entry
+    """``to_digits``' table, built once per (P, k) by ``RootSeries``: entry
     [m][i] is digit m of X^i, i < deg P.  X's digits come from the step
     loop (strip the residue, subtract its embedded image, divide exactly by
     P), which raises InexactDivision unless ``embed`` is a section; the
@@ -149,17 +156,17 @@ class ResidueDigits:
 def to_digits(a):
     """Digit expansion, a K-linear map: with the plain P-adic expansion
     a = sum r_j P^j (deg r_j < d = deg P), digit m is sum_{j<=m} sum_i
-    r_j[i] * digit (m-j) of X^i, one ``_pdot`` on ``_digit_columns``, which
-    raises InexactDivision when the embedding is not a section."""
+    r_j[i] * digit (m-j) of X^i, one ``_pdot`` on the ``_digit_columns``
+    table, which raises InexactDivision when the embedding is not a section."""
     ring, x = a.ring, a.rep.payload
     f, p, k = ring.field, ring.p.payload, ring.n
-    embed = _embedding(ring.p, k)
-    cols = _digit_columns(embed, k)
+    series = hensel_root_series(ring.p, k)
+    source, cols = series.embedding.source, series._columns
     zero, d, rs = f._from_int(0), len(p) - 1, []
     for _ in range(k):
         x, r = f._pdivmod(x, p)
         rs.extend(r + (zero,) * (d - len(r)))
-    return ResidueDigits(ring, tuple(QuotientElement(embed.source, Poly._of(
+    return ResidueDigits(ring, tuple(QuotientElement(source, Poly._of(
         f, f._pdot(rs[:d * (m + 1)], [c for col in cols[m::-1] for c in col])))
         for m in range(k)))
 
@@ -170,9 +177,9 @@ def from_digits(d):
     ring = d.ring
     if len(d.digits) != ring.n:
         raise ValueError(f"expected {ring.n} digits, got {len(d.digits)}")
-    f, images = ring.field, _embedding(ring.p, ring.n).images
+    f, embed = ring.field, hensel_root_series(ring.p, ring.n).embedding
     return QuotientElement(ring, Poly._of(f, f._phorner(
-        [a.rep.payload for a in d.digits], images, ring.p.payload,
+        [a.rep.payload for a in d.digits], embed.images, ring.p.payload,
         ring.modulus.payload)))
 
 
@@ -182,7 +189,7 @@ def digits_mul(d1, d2):
     if d1.ring != d2.ring:
         raise ValueError("digit vectors from different rings")
     ring, f = d1.ring, d1.ring.field
-    residue_ring = _embedding(ring.p, ring.n).source
+    residue_ring = hensel_root_series(ring.p, ring.n).embedding.source
     out = f._pconvmod([a.rep.payload for a in d1.digits],
                       [b.rep.payload for b in d2.digits], ring.p.payload)
     return ResidueDigits(ring, tuple(
@@ -219,17 +226,12 @@ def structure_isomorphism_check(p, k, assume_irreducible=False):
     rng = random.Random(_SEED)
     test_set = (list(ring.elements()) if exhaustive else
                 [ring.random_element(rng) for _ in range(_N_SAMPLES)])
-    checked = 0
-    for a in test_set:
+    for checked, a in enumerate(test_set):
         if from_digits(to_digits(a)) != a:
             return StructureCheckReport(False, exhaustive, checked, a)
-        checked += 1
-    for _ in range(_N_PAIRS):
-        a = rng.choice(test_set)
-        b = rng.choice(test_set)
-        lhs = to_digits(a * b)
-        rhs = digits_mul(to_digits(a), to_digits(b))
-        if lhs != rhs:
+    n = len(test_set)
+    for checked in range(n, n + _N_PAIRS):
+        a, b = rng.choice(test_set), rng.choice(test_set)
+        if to_digits(a * b) != digits_mul(to_digits(a), to_digits(b)):
             return StructureCheckReport(False, exhaustive, checked, (a, b))
-        checked += 1
-    return StructureCheckReport(True, exhaustive, checked)
+    return StructureCheckReport(True, exhaustive, n + _N_PAIRS)

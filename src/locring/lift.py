@@ -217,11 +217,9 @@ def kernel_witness(f, n):
     capped at n (at degree 1, S_f = 0, Q_f being the root sigma(c1))."""
     if n < 2:
         raise ValueError("kernel witnesses exist only for n >= 2")
-    p2 = f.target.p
-    s_f = f.s_cert
-    m = 1
-    while m < n and (s_f % p2).is_zero():
-        s_f, m = s_f // p2, m + 1
+    p2, s_f, m = f.target.p, f.s_cert, 1
+    while m < n and (qr := divmod(s_f, p2))[1].is_zero():
+        s_f, m = qr[0], m + 1
     if m < 2:
         raise ValueError("lift is injective; no kernel witness")
     e = -(-n // m)  # ceil(n/m); e*m >= n and e < n, so P1^e is nonzero

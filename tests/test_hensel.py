@@ -8,9 +8,10 @@ from locring.errors import (InexactDivision, NotIrreducible, NotMonic,
                             NotSeparable, RingMismatch)
 from locring.hensel import (
     ResidueDigits,
-    _embedding,
     digits_mul,
+    from_digits,
     structure_isomorphism_check,
+    to_digits,
 )
 from locring.poly import Poly, exact_div
 
@@ -189,15 +190,39 @@ def test_digits_of_powers_of_p():
 
 
 def test_digits_reuse_the_cached_embedding():
-    # one embedding per (P, k), whatever the call form: the short form, the
-    # explicit assume_irreducible=False form and the digits share one build
+    # one root series per (P, k), whatever the call form: the short form,
+    # the explicit assume_irreducible=False form and the digits share it
     p = P(F3, "x^2+x+2")
-    _embedding.cache_clear()
+    L.hensel_root_series.cache_clear()
     L.embed_residue_field(p, 3)
     L.embed_residue_field(p, 3, assume_irreducible=False)
     ring = L.QuotientRing(p, 3)
-    L.from_digits(L.to_digits(ring.gen()))
-    assert _embedding.cache_info().misses == 1
+    d = L.to_digits(ring.gen())
+    L.from_digits(digits_mul(d, d))
+    assert L.hensel_root_series.cache_info().misses == 1
+
+
+def test_root_series_builds_its_embedding_and_table_once(monkeypatch):
+    # the cached root series is the whole Hensel state of (P, k): the first
+    # to_digits builds its embedding and digit table, later digit calls
+    # reuse them, and clearing the one cache drops both
+    built = []
+    for name in ("StabilizingMorphism", "_digit_columns"):
+        def counted(*args, name=name, make=getattr(hensel, name)):
+            built.append(name)
+            return make(*args)
+        monkeypatch.setattr(hensel, name, counted)
+    ring = L.QuotientRing(P(F3, "x^2+x+2"), 3)
+    L.hensel_root_series.cache_clear()
+    L.to_digits(ring.gen())
+    assert sorted(built) == ["StabilizingMorphism", "_digit_columns"]
+    d = L.to_digits(ring.gen() ** 2)
+    L.from_digits(digits_mul(d, d))
+    L.embed_residue_field(ring.p, 3)
+    assert len(built) == 2
+    L.hensel_root_series.cache_clear()
+    L.to_digits(ring.gen())
+    assert len(built) == 4
 
 
 def test_digits_round_trip_exhaustive():
@@ -284,8 +309,9 @@ def test_digits_mul_rejects_two_rings():
         digits_mul(d2, d3)
 
 
-def test_to_digits_keeps_its_exactness_check(monkeypatch):
-    # X -> X + 1 is not a section, so a - embed(a_0) is not divisible by P
+def test_to_digits_keeps_its_exactness_check():
+    # X -> X + 1 is not a section, so a - embed(a_0) is not divisible by P:
+    # the step loop that builds to_digits' table refuses it
     ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
 
     class Shifted:
@@ -295,9 +321,8 @@ def test_to_digits_keeps_its_exactness_check(monkeypatch):
         def _apply(x):
             return F2._pcompose(x, (1, 1))
 
-    monkeypatch.setattr(hensel, "_embedding", lambda p, k: Shifted)
     with pytest.raises(InexactDivision):
-        L.to_digits(ring.gen())
+        hensel._digit_columns(Shifted, 2)
 
 
 # -- the digit layer against its boxed definitions -------------------------
@@ -356,6 +381,29 @@ def test_structure_check_exhaustive_f2():
 def test_structure_check_f3():
     report = structure_isomorphism_check(P(F3, "x^2+1"), 3)
     assert report.passed and report.exhaustive
+
+
+def test_structure_check_reports_a_wrong_round_trip(monkeypatch):
+    # from_digits off by one fails the round trip on the first element,
+    # which the multiplicativity stage alone would never see
+    monkeypatch.setattr(hensel, "from_digits", lambda d: from_digits(d) + 1)
+    ring = L.QuotientRing(P(F2, "x^2+x+1"), 2)
+    report = structure_isomorphism_check(ring.p, 2)
+    assert not report.passed and report.exhaustive
+    assert (report.n_checked, report.counterexample) == (
+        0, next(iter(ring.elements())))
+
+
+def test_structure_check_reports_a_wrong_product(monkeypatch):
+    # digits_mul off by one passes every round trip and fails the first
+    # sampled pair
+    def wrong(d1, d2):
+        return to_digits(from_digits(digits_mul(d1, d2)) + 1)
+
+    monkeypatch.setattr(hensel, "digits_mul", wrong)
+    report = structure_isomorphism_check(P(F2, "x^2+x+1"), 2)
+    assert not report.passed and report.exhaustive
+    assert report.n_checked == 16 and len(report.counterexample) == 2
 
 
 def test_structure_check_inseparable():

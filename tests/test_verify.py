@@ -303,6 +303,15 @@ def test_certify_frobenius_lift_false():
     assert kernel_dimension(L.lift_morphism(f, 2)) > 0
 
 
+def test_certify_rejects_an_injective_embedding():
+    # the residue field embedding F3[x]/(x^2+1) -> F3[x]/((x^2+1)^3) has a
+    # 6 x 2 matrix of full column rank: injective, but not onto
+    f = L.embed_residue_field(P(F3, "x^2+1"), 3)
+    m = morphism_matrix(f)
+    assert (m.nrows, m.ncols, kernel_dimension(f)) == (6, 2, 0)
+    assert not certify_isomorphism(f)
+
+
 def objectwise_morphism_check(f):
     """The morphism law on ring elements, pair by pair, in the order of
     ``exhaustive_morphism_check``: the reference for its payload loop."""
@@ -376,6 +385,20 @@ class PrimeCoordinate:
         return self.target.element(x)
 
 
+class SecondCoordinateOnce:
+    """c0 + c1*x -> c0 + g(c1) on F3[x]/(x^2), g = {0: 0, 1: x, 2: 0}: it
+    is additive on R x {1} and multiplicative on the pairs of the basis
+    {1, x}, but f(x) + f(x) = 2x while f(2x) = 0, so only additivity
+    against the last basis vector x exposes it."""
+
+    def __init__(self):
+        self.source = self.target = L.QuotientRing(P(F3, "x"), 2)
+
+    def __call__(self, a):
+        c0 = self.target.element(a.rep.coeff(0))
+        return c0 + self.target.gen() if a.rep.coeff(1) == 1 else c0
+
+
 def _frobenius_lift_over_f4():
     shift = F4.gen() - L.frobenius(1).apply(F4.gen())
     residue = L.find_residue_isomorphisms(Poly(F4, (F4.gen(), F4.one())),
@@ -432,6 +455,14 @@ def test_exhaustive_check_matches_objectwise_loop(name):
     else:
         assert report.passed
         assert report.n_pairs == f.source.order() ** 2
+
+
+def test_exhaustive_check_tests_additivity_on_the_whole_basis():
+    f = SecondCoordinateOnce()
+    report = exhaustive_morphism_check(f)
+    assert report == objectwise_morphism_check(f)
+    x = f.source.gen()
+    assert report.witness == (x, x, "add")
 
 
 def test_exhaustive_check_embedding():
