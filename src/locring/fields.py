@@ -15,12 +15,12 @@ Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition, powering and Euclid.  Division is one
 routine, ``_pdivide(a, b, want_quo)``, which builds the quotient only when
-asked; ``_pdivmod`` and ``_prem`` (the remainder alone) call it.  Two fused
-entries serve the digit layer: the truncated convolution ``_pconvmod`` of
-digit vectors and the Horner sum ``_phorner`` of ``from_digits``.
+asked; ``_pdivmod`` and ``_prem`` (the remainder alone) call it.  Three
+fused entries reduce mod a fixed m once: the product ``_pmulmod``, and the
+digit layer's truncated convolution ``_pconvmod`` and Horner sum ``_phorner``.
 
-The five entries that loop, ``_pmul``, ``_pdot``, ``_pdivide``,
-``_pconvmod`` and ``_phorner``, are each written once, in ``Field``, on the
+The six entries that loop, ``_pmul``, ``_pmulmod``, ``_pdot``, ``_pdivide``,
+``_pconvmod`` and ``_phorner``, are written once, in ``Field``, on the
 field's numerator ring: ``_clear`` takes the operands to numerators over
 one common denominator, the loops ``_conv``, ``_dot`` and ``_reduce_by``
 run there, and ``_finish`` normalizes each output coefficient once.  Q and
@@ -31,20 +31,21 @@ x^2 - 1/2 clears to 2x^2 - 1), ``_reduce_by`` is pseudo-division (Knuth,
 TAOCP 2, 4.6.1), and the result's denominator takes a factor of that
 coefficient per step.
 
-``PrimeField._pmul``, ``_pdivide`` and ``_pdot`` are the kernel's only
-overrides: they run on plain ints and reduce mod p once per output
-coefficient, and each measured faster than the loop it replaces (cases/s
+``PrimeField._pmul``, ``_pmulmod``, ``_pdivide`` and ``_pdot`` are the
+kernel's only overrides: they run on plain ints and reduce mod p once per
+output coefficient (``_pmulmod`` hands ``_pmul``'s product over Z to
+``_pdivide``), and each measured faster than the loop it replaces (cases/s
 lost with the override removed, in three alternating 5 s benchmark pairs,
-seed 0, 2-CPU x86-64 host, Python 3.11: search 10-21 %; digits 6-9 % and
-search 8-17 %; digits 3-21 %).  An ``ExtensionField`` of order at most 32
-multiplies, inverts and adds by log and Zech tables (generic 24-28 %; the
-bound is measured there).
+seed 0, 2-CPU x86-64 host, Python 3.11: search 10-21 %; search 12-18 %;
+digits 6-9 % and search 8-17 %; digits 3-21 %).  An ``ExtensionField`` of
+order at most 32 multiplies, inverts and adds by log and Zech tables
+(generic 24-28 %; the bound is measured there).
 
 F_p(t) keeps its F_p[t] Euclid in bounded caches on (F_p, operands):
 ``_fp_reduce`` (4,096 entries), ``_fp_lcm`` and ``_fp_quo`` (1,024 each) hit
 73 %, 96 % and 96 % of their calls in a generic benchmark pass; they pay
 off only where fractions repeat.  ``_cleared_divisor`` (256 entries) clears
-a fixed divisor, such as a modulus, once; it hits 90 % there.
+a fixed divisor, such as a modulus, once; it hits 95 % there.
 
 ``Poly``, the numerators and denominators of ``F_p(t)`` and the elements of
 ``F_p[x]/(m)`` all run on this kernel.  ``FieldAutomorphism.on`` alone says
@@ -124,6 +125,24 @@ def _power(one, a, e, mul):
 
 # ---------------------------------------------------------------------------
 # fields
+
+@functools.lru_cache(maxsize=256)
+def _cleared_divisor(field, b):
+    """(-bn, db, lead, inv) for the divisor b = bn/db cleared to the
+    numerator ring of ``field``, once for a fixed divisor such as a
+    modulus.  Where bn's leading coefficient is 1, lead and inv are None;
+    where it is another unit, inv is its inverse; else lead is it."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    bn, db = field._clear(b)
+    lead = None if bn[-1] == field._none else bn[-1]
+    inv = None if lead is None else field._unit_inv(lead)
+    return (tuple(map(field._nneg, bn)), db,
+            None if inv is not None else lead, inv)
+
+
+_clear_once = _cleared_divisor.__wrapped__  # for Euclid's one-shot divisors
+
 
 class Field:
     """Abstract base: exact arithmetic on canonical payloads."""
@@ -206,11 +225,24 @@ class Field:
     def _pneg(self, a):
         return tuple(self._neg(c) for c in a)
 
+    def _ntimes(self, x, y):
+        """x * y in the numerator ring, with no product by a factor 1."""
+        one = self._none
+        return y if x == one else x if y == one else self._nmul(x, y)
+
     def _pmul(self, a, b):
         (a, da), (b, db) = self._clear(a), self._clear(b)
         out = [self._nzero] * (len(a) + len(b) - 1)
         return self._finish(_conv(self._nadd, self._nmul, a, b, out),
-                            self._nmul(da, db))
+                            self._ntimes(da, db))
+
+    def _pmulmod(self, a, b, m):
+        """a * b mod m, divided once by the cached modulus m."""
+        (a, da), (b, db) = self._clear(a), self._clear(b)
+        add, mul, div = self._nadd, self._nmul, _cleared_divisor(self, m)
+        out = _conv(add, mul, a, b, [self._nzero] * (len(a) + len(b) - 1))
+        return self._finish(out, _reduce_by(add, mul, out, div,
+                                            self._ntimes(da, db)))
 
     def _pdivmod(self, a, b):
         return self._pdivide(a, b, True)
@@ -219,17 +251,15 @@ class Field:
         """The remainder of a mod m, for callers that drop the quotient."""
         return self._pdivide(a, m, False)[1]
 
-    def _pdivide(self, a, b, want_quo):
+    def _pdivide(self, a, b, want_quo, prepare=_cleared_divisor):
         """(quotient, remainder) of a by b, building the quotient only when
         ``want_quo`` (else it is False); the one division a field overrides.
         With a = an/da and b = bn/db, an = quo*bn + rem over den = da *
-        lead^steps (``_cleared_divisor``, ``_reduce_by``) gives a =
-        (quo*db/den)*b + rem/den."""
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
+        lead^steps (``prepare``, ``_reduce_by``) gives a = (quo*db/den)*b +
+        rem/den.  ``PrimeField`` needs no ``prepare``."""
         if len(a) < len(b):
             return want_quo and (), self._ptrim(a)
-        div, (rem, den) = _cleared_divisor(self, b), self._clear(a)
+        div, (rem, den) = prepare(self, b), self._clear(a)
         quo = [self._nzero] * (len(rem) - len(b) + 1) if want_quo else None
         den = _reduce_by(self._nadd, self._nmul, rem, div, den, quo)
         if want_quo and div[1] != self._none:
@@ -244,7 +274,7 @@ class Field:
 
     def _pgcd(self, a, b):
         while b:
-            a, b = b, self._prem(a, b)
+            a, b = b, self._pdivide(a, b, False, _clear_once)[1]
         return self._pmonic(a)
 
     def _pdot(self, cs, ps):
@@ -255,7 +285,7 @@ class Field:
         polys, dp = self._clear_polys([p for _, p in pairs])
         out = [self._nzero] * max(map(len, polys), default=0)
         return self._finish(_dot(self._nadd, self._nmul, scalars, polys, out),
-                            self._nmul(dc, dp))
+                            self._ntimes(dc, dp))
 
     def _pconvmod(self, xs, ys, m):
         """The product of sum xs[i] Y^i and sum ys[j] Y^j, polynomials in Y
@@ -268,7 +298,7 @@ class Field:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys[:k - i]):
                 _conv(add, mul, x, y, out[i + j])
-        den = mul(dx, dy)
+        den = self._ntimes(dx, dy)
         return [self._finish(c, _reduce_by(add, mul, c, div, den))
                 for c in out]
 
@@ -280,38 +310,35 @@ class Field:
         div = _cleared_divisor(self, m)
         (qn, dq), ps = self._clear(q), ps[:max(map(len, cs), default=0)]
         (cs, dc), (ps, dp) = self._clear_polys(cs), self._clear_polys(ps)
-        add, mul, acc, scale = self._nadd, self._nmul, [], self._none
-        width = max(map(len, ps), default=0)
+        add, mul, times = self._nadd, self._nmul, self._ntimes
+        acc, scale, width = [], self._none, max(map(len, ps), default=0)
         for c in reversed(cs):
-            scale = mul(scale, dq)
+            scale = times(scale, dq)
             out = [self._nzero] * max(len(acc) + len(qn) - 1, width)
-            acc = _dot(add, mul, [mul(scale, s) for s in c], ps,
+            acc = _dot(add, mul, [times(scale, s) for s in c], ps,
                        _conv(add, mul, acc, qn, out))
-        den = _reduce_by(add, mul, acc, div, mul(mul(scale, dc), dp))
+        den = _reduce_by(add, mul, acc, div, times(times(scale, dc), dp))
         return self._finish(acc, den)
 
     def _pcompose(self, a, q, m=None):
-        """a(q) by Horner, reduced mod m after each step when m is given."""
+        """a(q) by Horner, each product reduced mod m when m is given."""
         acc = ()
         if m is None:
             for c in reversed(a):
                 acc = self._padd(self._pmul(acc, q), (c,))
             return acc
-        q = self._prem(q, m)
         for c in reversed(a):
-            acc = self._prem(self._padd(self._pmul(acc, q), (c,)), m)
-        return acc
+            acc = self._padd(self._pmulmod(acc, q, m), (c,))
+        return self._prem(acc, m)  # the last constant, for a constant m
 
     def _ppow(self, a, e, m=None):
-        """a**e by square and multiply, reduced mod m after each product
-        when m is given."""
+        """a**e by square and multiply, each product reduced mod m when m
+        is given."""
         one = (self._from_int(1),)
         if m is None:
             return _power(one, a, e, self._pmul)
-
-        def mul_mod(x, y):
-            return self._prem(self._pmul(x, y), m)
-        return _power(self._prem(one, m), self._prem(a, m), e, mul_mod)
+        return _power(self._prem(one, m), self._prem(a, m), e,
+                      functools.partial(self._pmulmod, m=m))
 
     def _pgcdex(self, a, b):
         """Extended Euclid: (g, u, v) with g = u*a + v*b, g monic."""
@@ -320,7 +347,7 @@ class Field:
         one = (self._from_int(1),)
         r0, r1, u0, u1, v0, v1 = a, b, one, (), (), one
         while r1:
-            q, r = self._pdivmod(r0, r1)
+            q, r = self._pdivide(r0, r1, True, _clear_once)
             r0, r1 = r1, r
             u0, u1 = u1, self._padd(u0, self._pneg(self._pmul(q, u1)))
             v0, v1 = v1, self._padd(v0, self._pneg(self._pmul(q, v1)))
@@ -418,19 +445,6 @@ class _FractionField(Field):
         return self._ptrim([reduce(c, den) for c in nums])
 
 
-@functools.lru_cache(maxsize=256)
-def _cleared_divisor(field, b):
-    """(-bn, db, lead, inv) for the divisor b = bn/db cleared to the
-    numerator ring of ``field``, once for a fixed divisor such as a
-    modulus.  Where bn's leading coefficient is 1, lead and inv are None;
-    where it is another unit, inv is its inverse; else lead is it."""
-    bn, db = field._clear(b)
-    lead = None if bn[-1] == field._none else bn[-1]
-    inv = None if lead is None else field._unit_inv(lead)
-    return (tuple(map(field._nneg, bn)), db,
-            None if inv is not None else lead, inv)
-
-
 def _conv(add, mul, a, b, out):
     """out plus a * b, for coefficient lists over a ring with ``add`` and
     ``mul``, in place; a falsy coefficient is a zero that is skipped."""
@@ -438,6 +452,16 @@ def _conv(add, mul, a, b, out):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def _zconv(a, b):
+    """a * b over Z, in a new list; ``_conv`` with the int operators."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
     return out
 
 
@@ -593,17 +617,14 @@ class PrimeField(Field):
         return self._ptrim([c % p for c in nums])
 
     def _pmul(self, a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
         p = self.p
-        return self._ptrim([c % p for c in out])
+        return self._ptrim([c % p for c in _zconv(a, b)])
 
-    def _pdivide(self, a, b, want_quo):
+    def _pmulmod(self, a, b, m):
+        # the division reads its dividend over Z and reduces it lazily
+        return self._pdivide(_zconv(a, b), m, False)[1]
+
+    def _pdivide(self, a, b, want_quo, prepare=None):
         if not b:
             raise DivisionByZero("polynomial division by zero")
         p = self.p
@@ -833,7 +854,7 @@ class ExtensionField(Field):
         return self.base._pneg(a)
 
     def _mul(self, a, b):
-        return self.base._prem(self.base._pmul(a, b), self._m)
+        return self.base._pmulmod(a, b, self._m)
 
     def _inv(self, a):
         if not a:

@@ -98,7 +98,7 @@ def hensel_root_series(p, k):
     inv_dp = derivative_inverse(p)
     u, r, q_list = Poly.x(p.field), Poly.one(p.field), []
     for j in range(1, k):
-        s = (-(r % p) * inv_dp) % p
+        s = (-(r % p)).mul_mod(inv_dp, p)
         q_list.append(s)
         u = u + s * p ** j
         r = exact_div(p.compose(u), p ** (j + 1))

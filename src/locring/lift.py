@@ -323,6 +323,6 @@ def rings_isomorphic_separable(p1, p2, n, sigma=IDENTITY,
     if lift_is_isomorphism(f, n).verdict:
         return lift_morphism(f, n)
     q_f = f.q_image % p2
-    v = (1 - q_f.derivative()) * dp2_inverse % p2
+    v = (1 - q_f.derivative()).mul_mod(dp2_inverse, p2)
     return StabilizingMorphism(f.source.at_power(n), f.target.at_power(n),
                                f.sigma, q_f + v * p2)

@@ -151,6 +151,12 @@ class Poly(fields._RingValue):
             return NotImplemented
         return Poly._of(self.field, self.field._ppow(self.payload, e))
 
+    def mul_mod(self, other, m):
+        """self * other reduced mod m, one kernel call."""
+        o, m = self._coerce(other), self._coerce(m)
+        return Poly._of(self.field,
+                        self.field._pmulmod(self.payload, o.payload, m.payload))
+
     def pow_mod(self, e, m):
         """self**e reduced mod m, by square and multiply."""
         return Poly._of(self.field, self.field._ppow(
@@ -496,12 +502,12 @@ def format_poly(a, var="x"):
     """Deterministic text form, highest degree first, ``0`` for zero."""
     if a.is_zero():
         return "0"
-    parts = []
+    field, parts = a.field, []
     for i in range(a.degree, -1, -1):
-        c = a.coeff(i)
-        if c.is_zero():
+        c = a.payload[i]
+        if field._is_zero(c):
             continue
-        cs = str(c)
+        cs = field.format_payload(c)
         if i == 0:
             term = f"({cs})" if _needs_parens(cs) else cs
             parts.append(term)

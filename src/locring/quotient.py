@@ -132,20 +132,23 @@ class QuotientElement(_fields._RingValue):
             return self.ring.element(other)
         return None
 
+    # a sum or negation of reduced representatives is reduced
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.ring.element(self.rep + o.rep)
+        return QuotientElement(self.ring, self.rep + o.rep)
 
     def __neg__(self):
-        return self.ring.element(-self.rep)
+        return QuotientElement(self.ring, -self.rep)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.ring.element(self.rep * o.rep)
+        f = self.ring.field
+        return QuotientElement(self.ring, Poly._of(f, f._pmulmod(
+            self.rep.payload, o.rep.payload, self.ring.modulus.payload)))
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -219,7 +222,7 @@ class StabilizingMorphism(_fields._Frozen):
         f, m = target.field, target.modulus.payload
         images = [(f._from_int(1),)]
         for _ in range(source.dimension):
-            images.append(f._prem(f._pmul(images[-1], q.payload), m))
+            images.append(f._pmulmod(images[-1], q.payload, m))
         for name, value in (("source", source), ("target", target),
                             ("sigma", sigma), ("q_image", q),
                             ("images", tuple(images))):

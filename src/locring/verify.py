@@ -190,7 +190,7 @@ def exhaustive_morphism_check(f):
         raise TooLarge(
             f"{ring} has {ring.order()} elements (cap {_EXHAUSTIVE_CAP})")
     field = ring.field
-    padd, pmul, prem = field._padd, field._pmul, field._prem
+    padd, pmulmod = field._padd, field._pmulmod
     m1, m2 = ring.modulus.payload, f.target.modulus.payload
     # (element, payload, payload of its image); reduced payloads are
     # canonical, and a sum of two needs no reduction
@@ -201,7 +201,7 @@ def exhaustive_morphism_check(f):
         return padd(fx, fy) == images[padd(x, y)]
 
     def muls(x, fx, y, fy):
-        return prem(pmul(fx, fy), m2) == images[prem(pmul(x, y), m1)]
+        return pmulmod(fx, fy, m2) == images[pmulmod(x, y, m1)]
 
     basis = [(y, images[y]) for y in _prime_basis(field, ring.dimension)]
     if not (all(adds(x, fx, *e) for _, x, fx in table for e in basis)

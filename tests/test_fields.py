@@ -15,7 +15,7 @@ from locring.errors import (
     UnsupportedAutomorphism,
     UnsupportedField,
 )
-from locring.fields import _MR_LIMIT, Field, _is_prime
+from locring.fields import _MR_LIMIT, Field, _cleared_divisor, _is_prime
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
@@ -626,3 +626,24 @@ def test_library_caches_are_bounded_and_clear():
         assert cache.cache_info().maxsize is not None, cache.__name__
         cache.cache_clear()
         assert cache.cache_info().currsize == 0, cache.__name__
+
+
+def test_euclid_divisors_bypass_the_divisor_cache():
+    # each divisor of Euclid is used once; a fixed modulus stays cached
+    rng = random.Random(44)
+
+    def poly(length):
+        return F9._ptrim([F9.random_payload(rng) for _ in range(length)])
+    m = L.parse_poly(F9, "x^3+a*x+1").payload
+    _cleared_divisor.cache_clear()
+    x, y = poly(3), poly(3)
+    product = F9._pmulmod(x, y, m)
+    assert _cleared_divisor.cache_info().currsize == 1
+    for _ in range(20):
+        c = poly(rng.randint(1, 3)) or (F9._from_int(1),)
+        a, b = F9._pmul(poly(5), c), F9._pmul(poly(4), c)
+        assert F9._pgcd(a, b) == F9._pgcdex(a, b)[0]
+    assert _cleared_divisor.cache_info().currsize == 1
+    hits = _cleared_divisor.cache_info().hits
+    assert F9._pmulmod(x, y, m) == product
+    assert _cleared_divisor.cache_info().hits == hits + 1

@@ -77,7 +77,8 @@ def test_divmod_round_trip(field):
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_prime_kernel_agrees_with_generic_kernel(p):
     # PrimeField replaces the Field kernel's multiply and divide loops with
-    # int loops; the generic loop Field._pdivide is the reference
+    # int loops; the generic loops Field._pdivide and _pmulmod are the
+    # reference
     F = L.PrimeField(p)
     rng = random.Random(p)
     fixed = [((), ()), ((), (1,)), ((1,), ()), ((0, 1, 1, 1, 1), (1, 1)),
@@ -91,6 +92,7 @@ def test_prime_kernel_agrees_with_generic_kernel(p):
         assert F._pmul(a, b) == Field._pmul(F, a, b)
         if b:
             assert F._pdivmod(a, b) == Field._pdivide(F, a, b, True)
+            assert F._pmulmod(a, a, b) == Field._pmulmod(F, a, a, b)
         else:
             with pytest.raises(DivisionByZero):
                 F._pdivmod(a, b)
@@ -195,6 +197,8 @@ def test_prem_is_the_remainder_of_pdivmod(F):
     for a in ((), (one,), (one, one)):
         with pytest.raises(DivisionByZero):
             F._prem(a, ())
+        with pytest.raises(DivisionByZero):
+            F._pmulmod(a, a, ())
 
 
 def test_poly_stores_payloads_and_boxes_coefficients():
@@ -437,3 +441,44 @@ def test_format_examples():
     assert L.format_poly(P(Q, "x^2-2")) == "x^2-2"
     assert L.format_poly(Poly.zero(Q)) == "0"
     assert L.format_poly(P(Q, "x/4")) == "(1/4)*x"
+
+
+def boxed_format_poly(a, var="x"):
+    """The formatter on boxed coefficients, through ``coeff(i)`` and
+    ``str``: the reference for ``format_poly``, which reads payloads."""
+    if a.is_zero():
+        return "0"
+    parts = []
+    for i in range(a.degree, -1, -1):
+        c = a.coeff(i)
+        if c.is_zero():
+            continue
+        cs = str(c)
+        if i == 0:
+            parts.append(f"({cs})" if L.poly._needs_parens(cs) else cs)
+            continue
+        xs = var if i == 1 else f"{var}^{i}"
+        if cs == "1":
+            term = xs
+        elif cs == "-1":
+            term = f"-{xs}"
+        else:
+            if L.poly._needs_parens(cs):
+                cs = f"({cs})"
+            term = f"{cs}*{xs}"
+        parts.append(term)
+    out = parts[0]
+    for t in parts[1:]:
+        out += t if t.startswith("-") else "+" + t
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, L.PrimeField(7), Q, F2T, F3T, F4, F9,
+                                   TOWER], ids=repr)
+def test_format_poly_matches_the_boxed_formatter(field):
+    rng = random.Random(5)
+    polys = [rand_poly(field, rng, 6) for _ in range(300)]
+    polys += [Poly.one(field), -Poly.x(field), Poly(field, (0, 0, -1))]
+    for a in polys:
+        for var in ("x", "y"):
+            assert L.format_poly(a, var) == boxed_format_poly(a, var)

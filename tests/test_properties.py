@@ -1,5 +1,6 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
-p in {2, 3, 5}, the gcd of the F_p kernel, the F_p(t) reduction with its
+p in {2, 3, 5}, the gcd of the F_p kernel, the fused product mod m
+against a product and a remainder, the F_p(t) reduction with its
 caches cold or warm, the two-stage morphism law of
 ``exhaustive_morphism_check`` against the pair-by-pair reference, and the
 payload parser against ``Poly`` arithmetic, on inputs that Hypothesis
@@ -85,6 +86,46 @@ def test_gcd_is_monic_and_divides_both(case):
     assert field._pdivmod(a, g)[1] == () and field._pdivmod(b, g)[1] == ()
     if c:
         assert field._pdivmod(g, c)[1] == ()
+
+
+F4 = L.ExtensionField(L.PrimeField(2), (1, 1, 1))
+# per field: moduli that are monic, not monic, and constant; over Q and
+# F_p(t) the non-monic ones clear to a leading numerator that is not a unit
+# (x^2+x/t+1 clears to t*x^2+x+t).  F4 multiplies by tables; F64 over F4
+# and the F16 tower over F4 run the kernel over F4's table arithmetic
+MULMOD_MODULI = {
+    L.PrimeField(2): ["x^3+x+1", "x^4+x", "1"],
+    L.PrimeField(3): ["x^2+1", "2*x^3+x+2", "2"],
+    L.PrimeField(101): ["x^2+3", "57*x^3+x+7", "42"],
+    Q: ["x^2-2", "2*x^3/3+x+1", "-7/3"],
+    FUNCTION_FIELDS[2]: ["x^2+x+t", "t*x^2+x/(t+1)+1", "t/(t+1)"],
+    FUNCTION_FIELDS[3]: ["x^3+2*x+t", "x^2+x/t+1", "t^2+1"],
+    F4: ["x^2+x+a", "a*x^3+x+1", "a"],
+    L.parse_field("F3[x]/(x^2+1)"): ["x^2+x+a", "a*x^3+2*x+1", "2*a"],
+    L.ExtensionField(F4, (F4.gen(), 0, 0, 1)): ["x^2+b", "a*x^3+b*x+1", "b"],
+    L.parse_field("F2[x]/(x^2+x+1)[x]/(x^2+x+a)"):
+        ["x^2+b*x+1", "a*x^3+x+b", "a*b"],
+}
+
+
+@st.composite
+def mulmod_cases(draw):
+    field = draw(st.sampled_from(list(MULMOD_MODULI)))
+    m = L.parse_poly(field, draw(st.sampled_from(MULMOD_MODULI[field])))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operand():
+        # zero, reduced, or of degree deg m and past it
+        n = draw(st.integers(0, m.degree + 3))
+        return field._ptrim([field.random_payload(rng) for _ in range(n)])
+    return field, operand(), operand(), m.payload
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(mulmod_cases())
+def test_fused_product_mod_m_is_the_remainder_of_the_product(case):
+    field, a, b, m = case
+    assert field._pmulmod(a, b, m) == field._prem(field._pmul(a, b), m)
 
 
 def _reduced(field, n, d, c):

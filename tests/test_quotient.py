@@ -69,6 +69,24 @@ def test_ring_arith():
     assert a + ring.zero() == a
 
 
+@pytest.mark.parametrize("field, modulus, texts", [
+    (F3, "x^2+1", ("x^5+2*x+1", "2*x^4+x^3+x")),
+    (Q, "x^2-2", ("x^5/3+x-1", "-x^4/2+7")),
+    (F4, "x^2+x+a", ("a*x^5+x+1", "x^4+a*x^3"))], ids=["F3", "Q", "F4"])
+def test_sums_and_negations_divide_nothing(monkeypatch, field, modulus,
+                                           texts):
+    # a sum or negation of reduced representatives is already reduced
+    ring = L.QuotientRing(P(field, modulus), 3, assume_irreducible=True)
+    a, b = (ring.element(P(field, t)) for t in texts)
+    calls, divide = [], field._pdivide
+    monkeypatch.setattr(field, "_pdivide",
+                        lambda *args: calls.append(args) or divide(*args))
+    total, negation = a + b, -a
+    assert not calls
+    assert total == ring.element(a.rep + b.rep) and total + negation == b
+    assert negation == ring.element(-a.rep) and negation + a == ring.zero()
+
+
 def test_ring_mismatch():
     r1 = L.QuotientRing(P(F3, "x^2+1"), 1)
     r2 = L.QuotientRing(P(F3, "x^2+x+2"), 1)
