@@ -32,14 +32,16 @@ TAOCP 2, 4.6.1), and the result's denominator takes a factor of that
 coefficient per step.
 
 ``PrimeField._pmul``, ``_pmulmod``, ``_pdivide`` and ``_pdot`` are the
-kernel's only overrides: they run on plain ints and reduce mod p once per
-output coefficient (``_pmulmod`` hands ``_pmul``'s product over Z to
-``_pdivide``), and each measured faster than the loop it replaces (cases/s
-lost with the override removed, in three alternating 5 s benchmark pairs,
-seed 0, 2-CPU x86-64 host, Python 3.11: search 10-21 %; search 12-18 %;
-digits 6-9 % and search 8-17 %; digits 3-21 %).  An ``ExtensionField`` of
-order at most 32 multiplies, inverts and adds by log and Zech tables
-(generic 24-28 %; the bound is measured there).
+kernel's only overrides, on plain ints reduced mod p once per output
+coefficient; each measured faster than the loop it replaces (2-CPU x86-64
+host, Python 3.11).  ``_pmul`` and ``_pmulmod`` share ``_zconv``, one int
+product by Kronecker substitution (search p90 -19 %, cases/s +16 % against
+the schoolbook loop, ten alternating 20 s pairs); ``_pmulmod`` hands it to
+``_pdivide`` (cases/s lost without the override, three 5 s pairs:
+``_pmulmod`` search 12-18 %, ``_pdivide`` digits 6-9 % and search 8-17 %,
+``_pdot`` digits 3-21 %).  An ``ExtensionField`` of order at most 32
+multiplies, inverts and adds by log and Zech tables (generic 24-28 %; the
+bound is measured there).
 
 F_p(t) keeps its F_p[t] Euclid in bounded caches on (F_p, operands):
 ``_fp_reduce`` (4,096 entries), ``_fp_lcm`` and ``_fp_quo`` (1,024 each) hit
@@ -64,8 +66,10 @@ import itertools
 import operator
 import re
 import string
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from sys import byteorder
 
 from .errors import (
     DescriptorMismatch,
@@ -209,8 +213,9 @@ class Field:
     # dense polynomial kernel on payload sequences: ascending degree, results
     # are tuples with no trailing zeros, () is the zero polynomial
     def _ptrim(self, a):
-        i = len(a)
-        while i and self._is_zero(a[i - 1]):
+        # payloads are canonical: a zero coefficient is the field's ``_zero``
+        i, zero = len(a), self._zero
+        while i and a[i - 1] == zero:
             i -= 1
         return tuple(a[:i])
 
@@ -341,19 +346,17 @@ class Field:
                       functools.partial(self._pmulmod, m=m))
 
     def _pgcdex(self, a, b):
-        """Extended Euclid: (g, u, v) with g = u*a + v*b, g monic."""
+        """Half-extended Euclid: (g, u) with g = u*a + v*b for some v, g
+        monic; ``poly.ext_gcd`` recovers v."""
         if not a and not b:
             raise DivisionByZero("gcd(0, 0) is undefined")
-        one = (self._from_int(1),)
-        r0, r1, u0, u1, v0, v1 = a, b, one, (), (), one
+        r0, r1, u0, u1 = a, b, (self._from_int(1),), ()
         while r1:
             q, r = self._pdivide(r0, r1, True, _clear_once)
             r0, r1 = r1, r
             u0, u1 = u1, self._padd(u0, self._pneg(self._pmul(q, u1)))
-            v0, v1 = v1, self._padd(v0, self._pneg(self._pmul(q, v1)))
         scale = (self._inv(r0[-1]),)
-        return (self._pmul(r0, scale), self._pmul(u0, scale),
-                self._pmul(v0, scale))
+        return self._pmul(r0, scale), self._pmul(u0, scale)
 
     # element-level convenience
     def element(self, payload):
@@ -455,16 +458,6 @@ def _conv(add, mul, a, b, out):
     return out
 
 
-def _zconv(a, b):
-    """a * b over Z, in a new list; ``_conv`` with the int operators."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _dot(add, mul, cs, ps, out):
     """out plus sum cs[i] * ps[i], as ``_conv``, in place."""
     for s, p in zip(cs, ps):
@@ -507,7 +500,7 @@ class Rationals(_FractionField):
     char = 0
 
     # the numerator ring Z
-    _nzero, _none, _nlcm = 0, 1, lcm
+    _zero, _nzero, _none, _nlcm = (0, 1), 0, 1, lcm
     _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
     _ndiv = operator.floordiv
 
@@ -563,6 +556,7 @@ class PrimeField(Field):
             raise InvalidArgument(f"{p} is not prime")
         self.p = p
         self.char = p
+        self._fit1 = 255 // (p - 1) ** 2  # see ``_zconv``
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -606,7 +600,7 @@ class PrimeField(Field):
     # the numerator ring Z, reduced mod p only in ``_finish``, so a lead's
     # inverse mod p serves as its inverse; the measured int loops below are
     # the kernel's only overrides
-    _nzero, _none = 0, 1
+    _zero, _nzero, _none = 0, 0, 1
     _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
 
     def _unit_inv(self, c):
@@ -616,13 +610,37 @@ class PrimeField(Field):
         p = self.p
         return self._ptrim([c % p for c in nums])
 
+    def _zconv(self, a, b):
+        """a * b over Z by Kronecker substitution (von zur Gathen and
+        Gerhard, ch. 8): each operand packed into one int, w bytes a
+        coefficient, one product, read back slot by slot.  A slot holds
+        min(len a, len b) (p-1)^2: one byte up to ``_fit1``, where operands
+        and product are their own bytes; 2, 4 or 8 bytes pack through an
+        ``array``, wider slots a coefficient at a time."""
+        size, n = len(a) + len(b) - 1, min(len(a), len(b))
+        if not n:
+            return [0] * size
+        if n <= self._fit1:
+            return (int.from_bytes(a, byteorder)
+                    * int.from_bytes(b, byteorder)).to_bytes(size, byteorder)
+        w = (n * (self.p - 1) ** 2).bit_length() + 7 >> 3
+        code = "HIIQQQQ"[w - 2] if w <= 8 else None
+        w = array(code).itemsize if code else w
+        x = 1
+        for op in (a, b):
+            x *= int.from_bytes(array(code, op) if code else b"".join(
+                c.to_bytes(w, byteorder) for c in op), byteorder)
+        s = x.to_bytes(w * size, byteorder)
+        return array(code, s) if code else [
+            int.from_bytes(s[i:i + w], byteorder) for i in range(0, len(s), w)]
+
     def _pmul(self, a, b):
         p = self.p
-        return self._ptrim([c % p for c in _zconv(a, b)])
+        return self._ptrim([c % p for c in self._zconv(a, b)])
 
     def _pmulmod(self, a, b, m):
         # the division reads its dividend over Z and reduces it lazily
-        return self._pdivide(_zconv(a, b), m, False)[1]
+        return self._pdivide(self._zconv(a, b), m, False)[1]
 
     def _pdivide(self, a, b, want_quo, prepare=None):
         if not b:
@@ -693,7 +711,7 @@ class RationalFunctionField(_FractionField):
     """F_p(t): reduced ratios of polynomials over F_p with monic denominator."""
 
     # the numerator ring F_p[t]
-    _nzero, _none = (), (1,)
+    _zero, _nzero, _none = ((), (1,)), (), (1,)
 
     def __init__(self, p, var="t"):
         # numerators and denominators live in F_p[t]
@@ -781,7 +799,7 @@ class ExtensionField(Field):
     order 81-729, and a bound of 1,024 cut search from 258 to 215 cases/s.
     """
     _TABLE_ORDER = 32
-    _nzero = ()
+    _zero = _nzero = ()
 
     def __init__(self, base, min_coeffs, assume_irreducible=False):
         if not (isinstance(base, (PrimeField, Rationals))
@@ -859,12 +877,12 @@ class ExtensionField(Field):
     def _inv(self, a):
         if not a:
             raise DivisionByZero(f"1/0 in {self}")
-        # g = u*m + v*a with deg v < deg m, and g = 1 when m is irreducible
-        g, _, v = self.base._pgcdex(self._m, a)
+        # g = u*a + v*m with deg u < deg m, and g = 1 when m is irreducible
+        g, u = self.base._pgcdex(a, self._m)
         if len(g) > 1:
             raise NotIrreducible(f"{self} is not a field: "
                                  f"{self.format_payload(g)} is a zero divisor")
-        return v
+        return u
 
     def _canon(self, a):
         # a coordinate is an int, a base element or a base payload that is a

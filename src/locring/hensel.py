@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from .errors import (InexactDivision, NotIrreducible, NotMonic, NotSeparable,
                      RingMismatch)
 from .fields import IDENTITY
-from .poly import (Poly, check_irreducible, check_power, exact_div, ext_gcd,
-                   format_poly)
+from .poly import Poly, check_irreducible, check_power, exact_div, format_poly
 from .quotient import QuotientElement, QuotientRing, StabilizingMorphism
 
 
@@ -75,7 +74,8 @@ def derivative_inverse(p):
     dp = p.derivative()
     if dp.is_zero():
         raise NotSeparable(f"{format_poly(p)} has zero derivative")
-    g, inv, _ = ext_gcd(dp, p)
+    g, inv = (Poly._of(p.field, c)
+              for c in p.field._pgcdex(dp.payload, p.payload))
     if g.degree != 0:
         raise NotIrreducible(f"{format_poly(p)} is not squarefree: "
                              f"gcd(P, P') = {format_poly(g)}")

@@ -207,10 +207,14 @@ class Poly(fields._RingValue):
 # gcd machinery
 
 def ext_gcd(a, b):
-    """Extended Euclid: returns (g, u, v) with g = u*a + v*b, g monic."""
-    field = a.field
-    return tuple(Poly._of(field, c)
-                 for c in field._pgcdex(a.payload, a._coerce(b).payload))
+    """Extended Euclid: returns (g, u, v) with g = u*a + v*b, g monic.  The
+    kernel's Euclid gives g and u; v = (g - u*a)/b is one exact division
+    (0 where b = 0), its divisor prepared uncached as Euclid's are."""
+    f, a, b = a.field, a.payload, a._coerce(b).payload
+    g, u = f._pgcdex(a, b)
+    rest = f._padd(g, f._pneg(f._pmul(u, a)))
+    v = b and f._pdivide(rest, b, True, fields._clear_once)[0]
+    return tuple(Poly._of(f, c) for c in (g, u, v))
 
 
 def gcd(a, b):

@@ -29,7 +29,6 @@ from .poly import (
     apply_automorphism_to_poly,
     check_irreducible,
     check_power,
-    ext_gcd,
     format_poly,
     parse_poly,
 )
@@ -163,10 +162,11 @@ class QuotientElement(_fields._RingValue):
         return not (self.rep % self.ring.p).is_zero()
 
     def invert(self):
-        g, u, _ = ext_gcd(self.rep, self.ring.modulus)
-        if g.degree != 0:
+        field = self.rep.field
+        g, u = field._pgcdex(self.rep.payload, self.ring.modulus.payload)
+        if len(g) != 1:
             raise NotAUnit(f"{self} is not a unit")
-        return self.ring.element(u)
+        return self.ring.element(Poly._of(field, u))
 
     def project(self, m):
         """Image in K[X]/(P^m) under the canonical projection, 1 <= m <= n."""

@@ -268,6 +268,8 @@ TABLE_FIELDS = [
 POLY_PATH_FIELDS = [
     L.ExtensionField(F2, (1, 1, 0, 0, 0, 0, 1)),        # F64
     L.ExtensionField(F9, (F9.gen(), 1, 1)),             # F81 over F9
+    L.ExtensionField(F3, (2, 0, 0, 2, 1)),              # F81
+    L.parse_field("F2[x]/(x^9+x^4+1)"),                 # F512
 ]
 
 
@@ -643,7 +645,85 @@ def test_euclid_divisors_bypass_the_divisor_cache():
         c = poly(rng.randint(1, 3)) or (F9._from_int(1),)
         a, b = F9._pmul(poly(5), c), F9._pmul(poly(4), c)
         assert F9._pgcd(a, b) == F9._pgcdex(a, b)[0]
+        # ext_gcd's exact division for v prepares its divisor uncached too
+        assert L.ext_gcd(L.Poly._of(F9, a), L.Poly._of(F9, b))[0].payload \
+            == F9._pgcd(a, b)
     assert _cleared_divisor.cache_info().currsize == 1
     hits = _cleared_divisor.cache_info().hits
     assert F9._pmulmod(x, y, m) == product
     assert _cleared_divisor.cache_info().hits == hits + 1
+
+
+# ---------------------------------------------------------------------------
+# the packed F_p product against the schoolbook loop, and trimming by the
+# canonical zero
+
+def schoolbook(a, b):
+    """a * b over Z by the double loop that Kronecker substitution replaced
+    in ``PrimeField._zconv``: the reference for the packed product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+# one prime per slot width: 1, 2, 4 and 8 bytes, and wider ones packed a
+# coefficient at a time (2^64+13 and 2^80+13 are prime, below _MR_LIMIT)
+PACKED_PRIMES = (2, 3, 13, 17, 251, 257, 65521, 65537, 2 ** 31 - 1,
+                 2 ** 61 - 1, 2 ** 64 + 13, 2 ** 80 + 13)
+
+
+def _packed_lengths(p):
+    """The operand lengths n at which n (p-1)^2, the largest product
+    coefficient, crosses from w bytes into more, for n <= 260."""
+    sq = (p - 1) ** 2
+    edges = {(256 ** w - 1) // sq for w in (1, 2, 4, 8)}
+    return sorted({k for n in edges for k in (n, n + 1) if 1 <= k <= 260})
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_product_at_every_slot_boundary(p):
+    field = L.PrimeField(p)
+    assert _packed_lengths(3) == [63, 64] and _packed_lengths(17)[0] == 1
+    top = p - 1
+    m = (1, 0, 1)  # x^2 + 1
+    for n in _packed_lengths(p) + [1, 2]:
+        # all coefficients p - 1: every product coefficient at its bound
+        for a, b in (([top] * n, [top] * n), ([top] * n, [top] * (n + 3)),
+                     ([top] * (n + 5), [top] * n)):
+            want = field._ptrim([c % p for c in schoolbook(a, b)])
+            assert field._pmul(a, b) == want, (n, len(a), len(b))
+            assert field._pmulmod(a, b, m) == field._prem(want, m)
+    for b in ((), (top,), (1, top), tuple([top] * 9)):
+        # an empty operand, with p > 256 among the primes
+        assert field._pmul((), b) == field._pmul(b, ()) == ()
+        assert field._pmulmod((), b, m) == ()
+
+
+TRIM_FIELDS = [F2, F7, Q, F2T, F4, F9,
+               POLY_PATH_FIELDS[2],                        # F81
+               TABLE_FIELDS[4]]                            # F16 over F4
+
+
+@pytest.mark.parametrize("field", TRIM_FIELDS, ids=repr)
+def test_ptrim_compares_with_the_canonical_zero(field, monkeypatch):
+    rng = random.Random(45)
+    zero = field._from_int(0)
+    assert zero == field._zero and field._is_zero(zero)
+
+    def reference(a):
+        i = len(a)
+        while i and field._is_zero(a[i - 1]):
+            i -= 1
+        return tuple(a[:i])
+    cases = [[field.random_payload(rng) for _ in range(rng.randint(0, 3))]
+             + [zero] * (k % 4) for k in range(80)]
+    want = [reference(a) for a in cases]
+
+    def refuse(a):
+        raise AssertionError("_ptrim called _is_zero")
+    monkeypatch.setattr(field, "_is_zero", refuse)
+    assert [field._ptrim(a) for a in cases] == want
+    assert [field._ptrim(tuple(a)) for a in cases] == want

@@ -236,18 +236,24 @@ def test_ext_gcd_unit_argument():
     assert u == Poly.zero(F2) and v == Poly.one(F2)
 
 
-@pytest.mark.parametrize("field", [F2, F3, Q], ids=repr)
+@pytest.mark.parametrize("field", [F2, F3, L.PrimeField(7), Q, F2T,
+                                   L.parse_field("F3[x]/(x^2+1)")], ids=repr)
 def test_ext_gcd_properties(field):
     rng = random.Random(2)
+    zeros = 0
     for _ in range(500):
         a = rand_poly(field, rng, 4)
         b = rand_poly(field, rng, 4)
         if a.is_zero() and b.is_zero():
             continue
+        zeros += a.is_zero() or b.is_zero()
         g, u, v = L.ext_gcd(a, b)
         assert u * a + v * b == g
         assert g.is_monic()
         assert (a % g).is_zero() and (b % g).is_zero()
+        # the kernel's half-extended Euclid gives g and u alone
+        assert field._pgcdex(a.payload, b.payload) == (g.payload, u.payload)
+    assert zeros > 20
 
 
 # -- derivative -------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
-p in {2, 3, 5}, the gcd of the F_p kernel, the fused product mod m
-against a product and a remainder, the F_p(t) reduction with its
-caches cold or warm, the two-stage morphism law of
-``exhaustive_morphism_check`` against the pair-by-pair reference, and the
-payload parser against ``Poly`` arithmetic, on inputs that Hypothesis
-draws.  Hypothesis is a test-only dependency;
-without it the module is skipped."""
+p in {2, 3, 5}, the gcd of the F_p kernel, the packed F_p product against
+the schoolbook loop, the fused product mod m against a product and a
+remainder, the F_p(t) reduction with its caches cold or warm, the
+two-stage morphism law of ``exhaustive_morphism_check`` against the
+pair-by-pair reference, and the payload parser against ``Poly``
+arithmetic, on inputs that Hypothesis draws.  Hypothesis is a test-only
+dependency; without it the module is skipped."""
 
 import pytest
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import locring as L  # noqa: E402
 from locring.poly import Poly  # noqa: E402
 from locring.verify import exhaustive_morphism_check  # noqa: E402
-from test_fields import library_caches  # noqa: E402
+from test_fields import PACKED_PRIMES, library_caches, schoolbook  # noqa
 from test_verify import objectwise_morphism_check  # noqa: E402
 
 # a few hundred examples in all keep the module near a second
@@ -86,6 +86,30 @@ def test_gcd_is_monic_and_divides_both(case):
     assert field._pdivmod(a, g)[1] == () and field._pdivmod(b, g)[1] == ()
     if c:
         assert field._pdivmod(g, c)[1] == ()
+
+
+PACKED_FIELDS = {p: L.PrimeField(p) for p in PACKED_PRIMES}
+
+
+@st.composite
+def packed_products(draw):
+    """Operands over a prime of every slot width: empty, of length 1 and of
+    unequal lengths, with coefficients 0, p - 1 or any; and a divisor."""
+    field = PACKED_FIELDS[draw(st.sampled_from(PACKED_PRIMES))]
+    top = field.p - 1
+    coeff = st.one_of(st.just(top), st.just(0), st.integers(0, top))
+    a, b, m = (field._ptrim(draw(st.lists(coeff, max_size=n)))
+               for n in (12, 12, 5))
+    return field, a, b, m or (1,)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(packed_products())
+def test_packed_product_matches_the_schoolbook_loop(case):
+    field, a, b, m = case
+    want = field._ptrim([c % field.p for c in schoolbook(a, b)])
+    assert field._pmul(a, b) == want
+    assert field._pmulmod(a, b, m) == field._prem(want, m)
 
 
 F4 = L.ExtensionField(L.PrimeField(2), (1, 1, 1))
