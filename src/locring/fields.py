@@ -66,7 +66,6 @@ import itertools
 import operator
 import re
 import string
-from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from sys import byteorder
@@ -192,6 +191,7 @@ class Field:
         raise NotImplementedError
 
     # the numerator ring, where the kernel's loops run: a subclass supplies
+    # ``_zero`` (the canonical zero payload, which ``_ptrim`` compares with),
     # ``_nzero``, ``_none``, ``_nadd``, ``_nmul``, ``_nneg`` and ``_unit_inv``
     # (the inverse of a unit, None for a non-unit).  Without a ``_clear`` of
     # its own, a payload is its own numerator over 1; every leading
@@ -556,7 +556,6 @@ class PrimeField(Field):
             raise InvalidArgument(f"{p} is not prime")
         self.p = p
         self.char = p
-        self._fit1 = 255 // (p - 1) ** 2  # see ``_zconv``
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -614,25 +613,20 @@ class PrimeField(Field):
         """a * b over Z by Kronecker substitution (von zur Gathen and
         Gerhard, ch. 8): each operand packed into one int, w bytes a
         coefficient, one product, read back slot by slot.  A slot holds
-        min(len a, len b) (p-1)^2: one byte up to ``_fit1``, where operands
-        and product are their own bytes; 2, 4 or 8 bytes pack through an
-        ``array``, wider slots a coefficient at a time."""
+        min(len a, len b) (p-1)^2; with one-byte slots the operands and the
+        product are their own bytes."""
         size, n = len(a) + len(b) - 1, min(len(a), len(b))
         if not n:
             return [0] * size
-        if n <= self._fit1:
+        w = (n * (self.p - 1) ** 2).bit_length() + 7 >> 3
+        if w == 1:
             return (int.from_bytes(a, byteorder)
                     * int.from_bytes(b, byteorder)).to_bytes(size, byteorder)
-        w = (n * (self.p - 1) ** 2).bit_length() + 7 >> 3
-        code = "HIIQQQQ"[w - 2] if w <= 8 else None
-        w = array(code).itemsize if code else w
-        x = 1
-        for op in (a, b):
-            x *= int.from_bytes(array(code, op) if code else b"".join(
-                c.to_bytes(w, byteorder) for c in op), byteorder)
-        s = x.to_bytes(w * size, byteorder)
-        return array(code, s) if code else [
-            int.from_bytes(s[i:i + w], byteorder) for i in range(0, len(s), w)]
+        x, y = (int.from_bytes(b"".join(c.to_bytes(w, byteorder) for c in op),
+                               byteorder) for op in (a, b))
+        s = (x * y).to_bytes(w * size, byteorder)
+        return [int.from_bytes(s[i:i + w], byteorder)
+                for i in range(0, len(s), w)]
 
     def _pmul(self, a, b):
         p = self.p

@@ -669,8 +669,8 @@ def schoolbook(a, b):
     return out
 
 
-# one prime per slot width: 1, 2, 4 and 8 bytes, and wider ones packed a
-# coefficient at a time (2^64+13 and 2^80+13 are prime, below _MR_LIMIT)
+# primes whose slots are 1, 2, 4, 8 and more bytes wide (2^64+13 and
+# 2^80+13 are prime, below _MR_LIMIT)
 PACKED_PRIMES = (2, 3, 13, 17, 251, 257, 65521, 65537, 2 ** 31 - 1,
                  2 ** 61 - 1, 2 ** 64 + 13, 2 ** 80 + 13)
 
@@ -679,7 +679,7 @@ def _packed_lengths(p):
     """The operand lengths n at which n (p-1)^2, the largest product
     coefficient, crosses from w bytes into more, for n <= 260."""
     sq = (p - 1) ** 2
-    edges = {(256 ** w - 1) // sq for w in (1, 2, 4, 8)}
+    edges = {(256 ** w - 1) // sq for w in range(1, 24)}
     return sorted({k for n in edges for k in (n, n + 1) if 1 <= k <= 260})
 
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import locring as L  # noqa: E402
 from locring.poly import Poly  # noqa: E402
 from locring.verify import exhaustive_morphism_check  # noqa: E402
-from test_fields import PACKED_PRIMES, library_caches, schoolbook  # noqa
+from test_fields import (  # noqa: E402
+    PACKED_PRIMES, library_caches, schoolbook)
 from test_verify import objectwise_morphism_check  # noqa: E402
 
 # a few hundred examples in all keep the module near a second
