@@ -31,17 +31,17 @@ x^2 - 1/2 clears to 2x^2 - 1), ``_reduce_by`` is pseudo-division (Knuth,
 TAOCP 2, 4.6.1), and the result's denominator takes a factor of that
 coefficient per step.
 
-``PrimeField._pmul``, ``_pmulmod``, ``_pdivide`` and ``_pdot`` are the
-kernel's only overrides, on plain ints reduced mod p once per output
-coefficient; each measured faster than the loop it replaces (2-CPU x86-64
-host, Python 3.11).  ``_pmul`` and ``_pmulmod`` share ``_zconv``, one int
-product by Kronecker substitution (search p90 -19 %, cases/s +16 % against
-the schoolbook loop, ten alternating 20 s pairs); ``_pmulmod`` hands it to
-``_pdivide`` (cases/s lost without the override, three 5 s pairs:
-``_pmulmod`` search 12-18 %, ``_pdivide`` digits 6-9 % and search 8-17 %,
-``_pdot`` digits 3-21 %).  An ``ExtensionField`` of order at most 32
-multiplies, inverts and adds by log and Zech tables (generic 24-28 %; the
-bound is measured there).
+``PrimeField`` overrides all six, on plain ints reduced mod p once per
+output coefficient; each measured faster than the loop it replaces (2-CPU
+x86-64 host, Python 3.11).  ``_pmul``, ``_pmulmod``, ``_pconvmod`` and
+``_phorner`` multiply packed ints, Kronecker substitution (``_zconv``,
+``_pack``): search p90 -19 % against the schoolbook loop, digits p90 -12 to
+-14 % against the generic digit loops (alternating 20 s pairs).  Their sums
+over Z go to the lazy ``_pdivide``; it and ``_pdot`` are int loops (cases/s
+lost without them, three 5 s pairs: ``_pmulmod`` search 12-18 %,
+``_pdivide`` digits 6-9 % and search 8-17 %, ``_pdot`` digits 3-21 %).  An
+``ExtensionField`` of order at most 32 multiplies, inverts and adds by log
+and Zech tables (generic 24-28 %; the bound is measured there).
 
 F_p(t) keeps its F_p[t] Euclid in bounded caches on (F_p, operands):
 ``_fp_reduce`` (4,096 entries), ``_fp_lcm`` and ``_fp_quo`` (1,024 each) hit
@@ -66,6 +66,7 @@ import itertools
 import operator
 import re
 import string
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from sys import byteorder
@@ -131,17 +132,18 @@ def _power(one, a, e, mul):
 
 @functools.lru_cache(maxsize=256)
 def _cleared_divisor(field, b):
-    """(-bn, db, lead, inv) for the divisor b = bn/db cleared to the
-    numerator ring of ``field``, once for a fixed divisor such as a
-    modulus.  Where bn's leading coefficient is 1, lead and inv are None;
-    where it is another unit, inv is its inverse; else lead is it."""
+    """((deg b, low), db, lead, inv) for the divisor b = bn/db cleared to
+    the numerator ring of ``field``, once for a fixed divisor such as a
+    modulus; low pairs each j < deg b with -bn[j], zeros skipped.  Where
+    bn's leading coefficient is 1, lead and inv are None; where it is
+    another unit, inv is its inverse; else lead is it."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     bn, db = field._clear(b)
     lead = None if bn[-1] == field._none else bn[-1]
     inv = None if lead is None else field._unit_inv(lead)
-    return (tuple(map(field._nneg, bn)), db,
-            None if inv is not None else lead, inv)
+    low = tuple((j, field._nneg(c)) for j, c in enumerate(bn[:-1]) if c)
+    return (len(bn) - 1, low), db, None if inv is not None else lead, inv
 
 
 _clear_once = _cleared_divisor.__wrapped__  # for Euclid's one-shot divisors
@@ -434,8 +436,8 @@ class _FractionField(Field):
             if d != one and d != den:
                 den = self._nlcm(den, d)
         mul, div = self._nmul, self._ndiv
-        return [n if d == den else mul(n, den if d == one else div(den, d))
-                for n, d in a], den
+        return [mul(n, den if d == one else div(den, d)) if n and d != den
+                else n for n, d in a], den
 
     def _clear_polys(self, ps):
         """(numerator lists, den) of the polynomials ps, as ``_clear``."""
@@ -454,7 +456,8 @@ def _conv(add, mul, a, b, out):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
 
@@ -474,8 +477,7 @@ def _reduce_by(add, mul, rem, div, den, quo=None):
     when it is given.  Where the divisor's leading coefficient is not a
     unit this is pseudo-division (Knuth, TAOCP 2, 4.6.1): each step first
     multiplies rem and quo by it, and den with them.  Returns den."""
-    b, _, lead, inv = div
-    nb = len(b) - 1
+    (nb, low), _, lead, inv = div
     while len(rem) > nb:
         top = rem.pop()
         if top:
@@ -489,8 +491,8 @@ def _reduce_by(add, mul, rem, div, den, quo=None):
                 den = mul(den, lead)
             if quo is not None:
                 quo[k] = top
-            for j in range(nb):
-                rem[k + j] = add(rem[k + j], mul(top, b[j]))
+            for j, c in low:
+                rem[k + j] = add(rem[k + j], mul(top, c))
     return den
 
 
@@ -548,6 +550,34 @@ class Rationals(_FractionField):
         return "Q"
 
 
+# array typecodes by item size; array's order is the host's, so none where
+# that is big-endian
+_SLOT_CODES = ({array(c).itemsize: c for c in "HIQ"}
+               if byteorder == "little" else {})
+
+
+def _slot(bound):
+    """Bytes per little-endian slot for the ints in [0, bound]: 1, 2, 4, 8
+    (``array`` converts these in C on a little-endian host) or more."""
+    w = bound.bit_length() + 7 >> 3
+    return (1, 1, 2, 4, 4, 8, 8, 8, 8)[w] if w < 9 else w
+
+
+def _pack(cs, w):
+    """The int whose w-byte slots hold the ints cs, lowest first."""
+    code = w > 1 and _SLOT_CODES.get(w)
+    return int.from_bytes(array(code, cs) if code else cs if w == 1 else
+                          b"".join(c.to_bytes(w, "little") for c in cs),
+                          "little")
+
+
+def _unpack(x, w, n):
+    """The n w-byte slots of the int x, lowest first; bytes when w = 1."""
+    s, code = x.to_bytes(w * n, "little"), _SLOT_CODES.get(w)
+    return s if w == 1 else memoryview(s).cast(code).tolist() if code else [
+        int.from_bytes(s[i:i + w], "little") for i in range(0, len(s), w)]
+
+
 class PrimeField(Field):
     """F_p, elements are residues in [0, p)."""
 
@@ -597,8 +627,8 @@ class PrimeField(Field):
         return rng.randrange(self.p)
 
     # the numerator ring Z, reduced mod p only in ``_finish``, so a lead's
-    # inverse mod p serves as its inverse; the measured int loops below are
-    # the kernel's only overrides
+    # inverse mod p serves as its inverse; below, the kernel's six measured
+    # overrides (module docstring)
     _zero, _nzero, _none = 0, 0, 1
     _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
 
@@ -611,22 +641,17 @@ class PrimeField(Field):
 
     def _zconv(self, a, b):
         """a * b over Z by Kronecker substitution (von zur Gathen and
-        Gerhard, ch. 8): each operand packed into one int, w bytes a
-        coefficient, one product, read back slot by slot.  A slot holds
-        min(len a, len b) (p-1)^2; with one-byte slots the operands and the
-        product are their own bytes."""
+        Gerhard, ch. 8): one product of packed ints, a slot a coefficient
+        holding min(len a, len b) (p-1)^2."""
         size, n = len(a) + len(b) - 1, min(len(a), len(b))
         if not n:
             return [0] * size
-        w = (n * (self.p - 1) ** 2).bit_length() + 7 >> 3
-        if w == 1:
-            return (int.from_bytes(a, byteorder)
-                    * int.from_bytes(b, byteorder)).to_bytes(size, byteorder)
-        x, y = (int.from_bytes(b"".join(c.to_bytes(w, byteorder) for c in op),
-                               byteorder) for op in (a, b))
-        s = (x * y).to_bytes(w * size, byteorder)
-        return [int.from_bytes(s[i:i + w], byteorder)
-                for i in range(0, len(s), w)]
+        bound = n * (self.p - 1) ** 2
+        if bound < 256:  # one-byte slots: the operands are their own bytes
+            return (int.from_bytes(a, "little")
+                    * int.from_bytes(b, "little")).to_bytes(size, "little")
+        w = _slot(bound)
+        return _unpack(_pack(a, w) * _pack(b, w), w, size)
 
     def _pmul(self, a, b):
         p = self.p
@@ -668,6 +693,33 @@ class PrimeField(Field):
                     out[i] += c * x
         p = self.p
         return self._ptrim([c % p for c in out])
+
+    def _pconvmod(self, xs, ys, m):
+        # one Kronecker product: digit i fills a block of s slots, so block
+        # t of the product is sum_{i+j=t} xs[i] ys[j], still over Z
+        k, ys = len(xs), ys[:len(xs)]
+        lx, ly = (max(map(len, zs), default=0) for zs in (xs, ys))
+        if not (lx and ly):
+            return [()] * k
+        s, w = lx + ly - 1, _slot(len(ys) * min(lx, ly) * (self.p - 1) ** 2)
+        x, y = (_pack([c for z in zs for c in z + (0,) * (s - len(z))], w)
+                for zs in (xs, ys))
+        out = _unpack(x * y & ((1 << 8 * w * k * s) - 1), w, k * s)
+        return [self._pdivide(out[t:t + s], m, False)[1]
+                for t in range(0, k * s, s)]
+
+    def _phorner(self, cs, ps, q, m):
+        # Horner on packed ints, a slot holding a whole Z coefficient: each
+        # sum_i cs[j][i] ps[i] is at most B_0 = len(ps) (p-1)^2 (>= p - 1,
+        # so q fits), the sum after J steps B_0 sum_{j<=J} (len(q) (p-1))^j
+        ps, top = ps[:max(map(len, cs), default=0)], self.p - 1
+        w = _slot(max(len(ps), 1) * top ** 2 * sum(
+            ((len(q) * top) ** j for j in range(1, len(cs))), 1))
+        packed, acc, qx = [_pack(y, w) for y in ps], 0, _pack(q, w)
+        for c in reversed(cs):
+            acc = acc * qx + sum(a * x for a, x in zip(c, packed) if a)
+        out = _unpack(acc, w, -(-acc.bit_length() // (8 * w)))
+        return self._pdivide(out, m, False)[1]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import locring as L
+from locring import fields
 from locring.errors import (
     DescriptorMismatch,
     DivisionByZero,
@@ -700,6 +701,29 @@ def test_packed_product_at_every_slot_boundary(p):
         # an empty operand, with p > 256 among the primes
         assert field._pmul((), b) == field._pmul(b, ()) == ()
         assert field._pmulmod((), b, m) == ()
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_slots_pack_alike_through_bytes(p, monkeypatch):
+    # a big-endian host has no array conversion: every slot wider than a
+    # byte packs through int.to_bytes, to the same products
+    field, rng = L.PrimeField(p), random.Random(p)
+    top = p - 1
+
+    def poly(n):
+        return field._ptrim([rng.choice((top, rng.randrange(p)))
+                             for _ in range(n)])
+    m = poly(3) + (1,)
+    cases = [(poly(rng.randint(0, 9)), poly(rng.randint(0, 9)),
+              [poly(3) for _ in range(6)], [poly(3) for _ in range(6)],
+              [poly(12) for _ in range(3)]) for _ in range(20)]
+
+    def products():
+        return [(field._pmul(a, b), field._pconvmod(xs, ys, m),
+                 field._phorner(xs, ps, m, m)) for a, b, xs, ys, ps in cases]
+    want = products()
+    monkeypatch.setattr(fields, "_SLOT_CODES", {})
+    assert products() == want
 
 
 TRIM_FIELDS = [F2, F7, Q, F2T, F4, F9,

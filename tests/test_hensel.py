@@ -3,7 +3,7 @@ import random
 import pytest
 
 import locring as L
-from locring import hensel
+from locring import fields, hensel
 from locring.errors import (InexactDivision, NotIrreducible, NotMonic,
                             NotSeparable, RingMismatch)
 from locring.hensel import (
@@ -367,6 +367,46 @@ def test_digit_layer_matches_its_definitions(field, ptext):
 
 def test_digit_layer_matches_its_definitions_at_power_16():
     _check_digit_layer(F2T, "x^3+x+t", 16, random.Random(8))
+
+
+@pytest.mark.parametrize("field,ptext", [(F2, "x^4+x+1"), (F3, "x^4+x+2")],
+                         ids=repr)
+def test_prime_field_digit_layer_runs_no_generic_loop(field, ptext,
+                                                      monkeypatch):
+    # over F_p the digit layer is packed products and the int division: the
+    # numerator-ring loops are never entered, the per-(P, k) state included
+    entered = []
+    for name in ("_conv", "_dot", "_reduce_by"):
+        def counted(*args, name=name, loop=getattr(fields, name)):
+            entered.append(name)
+            return loop(*args)
+        monkeypatch.setattr(fields, name, counted)
+    ring, rng = L.QuotientRing(P(field, ptext), 6), random.Random(9)
+    L.hensel_root_series.cache_clear()
+    a, b = ring.random_element(rng), ring.random_element(rng)
+    da, db = to_digits(a), to_digits(b)
+    assert from_digits(da) == a
+    assert digits_mul(da, db) == to_digits(a * b)
+    assert entered == []
+
+
+def test_function_field_digit_round_trip_has_no_empty_product(monkeypatch):
+    # the numerator ring F2[t] skips a zero operand: clearing a zero
+    # numerator, a zero coefficient in a product or in the divisor
+    ring = L.QuotientRing(P(F2T, "x^2+x+t"), 3, assume_irreducible=True)
+    L.hensel_root_series(ring.p, 3)  # the root series, before counting
+    empty, zconv = [], fields.PrimeField._zconv
+
+    def counted(self, a, b):
+        if not a or not b:
+            empty.append((a, b))
+        return zconv(self, a, b)
+    monkeypatch.setattr(fields.PrimeField, "_zconv", counted)
+    rng = random.Random(10)
+    for _ in range(5):
+        a = ring.random_element(rng)
+        assert from_digits(to_digits(a)) == a
+    assert empty == []
 
 
 # -- structure isomorphism check -------------------------------------------

@@ -1,11 +1,12 @@
 """Property tests: the field axioms of the scalar ops over Q and F_p(t),
 p in {2, 3, 5}, the gcd of the F_p kernel, the packed F_p product against
-the schoolbook loop, the fused product mod m against a product and a
-remainder, the F_p(t) reduction with its caches cold or warm, the
-two-stage morphism law of ``exhaustive_morphism_check`` against the
-pair-by-pair reference, and the payload parser against ``Poly``
-arithmetic, on inputs that Hypothesis draws.  Hypothesis is a test-only
-dependency; without it the module is skipped."""
+the schoolbook loop, the packed digit layer against the generic loops,
+the fused product mod m against a product and a remainder, the F_p(t)
+reduction with its caches cold or warm, the two-stage morphism law of
+``exhaustive_morphism_check`` against the pair-by-pair reference, and the
+payload parser against ``Poly`` arithmetic, on inputs that Hypothesis
+draws.  Hypothesis is a test-only dependency; without it the module is
+skipped."""
 
 import pytest
 
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import locring as L  # noqa: E402
+from locring.fields import Field  # noqa: E402
 from locring.poly import Poly  # noqa: E402
 from locring.verify import exhaustive_morphism_check  # noqa: E402
 from test_fields import (  # noqa: E402
@@ -111,6 +113,43 @@ def test_packed_product_matches_the_schoolbook_loop(case):
     want = field._ptrim([c % field.p for c in schoolbook(a, b)])
     assert field._pmul(a, b) == want
     assert field._pmulmod(a, b, m) == field._prem(want, m)
+
+
+@st.composite
+def digit_layer_cases(draw):
+    """A prime of every slot width, a modulus m of degree d <= 4, k <= 12
+    digits a side of every length <= d (a side all empty, or digits all
+    p - 1, now and then), and Horner's rows, ps (often fewer than a row's
+    entries) and q (of length 0 to d + 1)."""
+    field = PACKED_FIELDS[draw(st.sampled_from(PACKED_PRIMES))]
+    top, d = field.p - 1, draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(top), st.just(0), st.integers(0, top))
+
+    def poly(n):
+        return field._ptrim(draw(st.lists(coeff, max_size=n)))
+
+    def digits(k):
+        kind = draw(st.sampled_from(("empty", "top", "any")))
+        return [() if kind == "empty" else (top,) * draw(st.integers(0, d))
+                if kind == "top" else poly(d) for _ in range(k)]
+    m = tuple(draw(st.lists(coeff, min_size=d, max_size=d))) + (
+        draw(st.integers(1, top)),)
+    k = draw(st.integers(1, 12))
+    xs, ys = digits(k), digits(draw(st.integers(0, k + 1)))
+    ps = [poly(k * d) for _ in range(draw(st.integers(0, d)))]
+    return field, m, xs, ys, ps, poly(d + 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(digit_layer_cases())
+def test_packed_digit_layer_matches_the_generic_loops(case):
+    field, m, xs, ys, ps, q = case
+    assert field._pconvmod(xs, ys, m) == Field._pconvmod(field, xs, ys, m)
+    for cs in (xs, ys):
+        assert field._phorner(cs, ps, q, m) == \
+            Field._phorner(field, cs, ps, q, m)
+    assert field._phorner(xs, ps, q[:1], m) == \
+        Field._phorner(field, xs, ps, q[:1], m)
 
 
 F4 = L.ExtensionField(L.PrimeField(2), (1, 1, 1))
