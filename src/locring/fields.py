@@ -15,29 +15,28 @@ Dense polynomial arithmetic is written once, on tuples of payloads (ascending
 degree, no trailing zeros, ``()`` is zero): the ``Field._p*`` kernel, from
 add and multiply up to composition, powering and Euclid.  Division is one
 routine, ``_pdivide(a, b, want_quo)``, which builds the quotient only when
-asked; ``_pdivmod`` and ``_prem`` (the remainder alone) call it.  Three
-fused entries reduce mod a fixed m once: the product ``_pmulmod``, and the
-digit layer's truncated convolution ``_pconvmod`` and Horner sum ``_phorner``.
+asked; ``_pdivmod`` and ``_prem`` (the remainder alone) call it.  Two fused
+entries reduce mod a fixed m once: the product ``_pmulmod`` and the digit
+layer's truncated convolution ``_pconvmod``.
 
-The six entries that loop, ``_pmul``, ``_pmulmod``, ``_pdot``, ``_pdivide``,
-``_pconvmod`` and ``_phorner``, are written once, in ``Field``, on the
-field's numerator ring: ``_clear`` takes the operands to numerators over
-one common denominator, the loops ``_conv``, ``_dot`` and ``_reduce_by``
-run there, and ``_finish`` normalizes each output coefficient once.  Q and
-F_p(t) clear to Z and F_p[t], F_p is Z reduced mod p in ``_finish``, and an
-extension field is its own numerator ring.  ``_cleared_divisor`` clears a
-divisor once; where its cleared leading coefficient is not a unit (Q's
-x^2 - 1/2 clears to 2x^2 - 1), ``_reduce_by`` is pseudo-division (Knuth,
-TAOCP 2, 4.6.1), and the result's denominator takes a factor of that
-coefficient per step.
+The five entries that loop, ``_pmul``, ``_pmulmod``, ``_pdot``, ``_pdivide``
+and ``_pconvmod``, are written once, in ``Field``, on the field's numerator
+ring: ``_clear`` takes the operands to numerators over one common
+denominator, the loops ``_conv``, ``_dot`` and ``_reduce_by`` run there, and
+``_finish`` normalizes each output coefficient once.  Q and F_p(t) clear to
+Z and F_p[t], F_p is Z reduced mod p in ``_finish``, and an extension field
+is its own numerator ring.  ``_cleared_divisor`` clears a divisor once;
+where its cleared leading coefficient is not a unit (Q's x^2 - 1/2 clears
+to 2x^2 - 1), ``_reduce_by`` is pseudo-division (Knuth, TAOCP 2, 4.6.1),
+and the result's denominator takes a factor of that coefficient per step.
 
-``PrimeField`` overrides all six, on plain ints reduced mod p once per
+``PrimeField`` overrides all five, on plain ints reduced mod p once per
 output coefficient; each measured faster than the loop it replaces (2-CPU
-x86-64 host, Python 3.11).  ``_pmul``, ``_pmulmod``, ``_pconvmod`` and
-``_phorner`` multiply packed ints, Kronecker substitution (``_zconv``,
-``_pack``): search p90 -19 % against the schoolbook loop, digits p90 -12 to
--14 % against the generic digit loops (alternating 20 s pairs).  Their sums
-over Z go to the lazy ``_pdivide``; it and ``_pdot`` are int loops (cases/s
+x86-64 host, Python 3.11).  ``_pmul``, ``_pmulmod`` and ``_pconvmod``
+multiply packed ints, Kronecker substitution (``_zconv``, ``_pack``):
+search p90 -19 % against the schoolbook loop (alternating 20 s pairs),
+``digits_mul`` 53 to 33 us a call (F3, deg P = 4, k = 6).  Their sums over
+Z go to the lazy ``_pdivide``; it and ``_pdot`` are int loops (cases/s
 lost without them, three 5 s pairs: ``_pmulmod`` search 12-18 %,
 ``_pdivide`` digits 6-9 % and search 8-17 %, ``_pdot`` digits 3-21 %).  An
 ``ExtensionField`` of order at most 32 multiplies, inverts and adds by log
@@ -308,24 +307,6 @@ class Field:
         den = self._ntimes(dx, dy)
         return [self._finish(c, _reduce_by(add, mul, c, div, den))
                 for c in out]
-
-    def _phorner(self, cs, ps, q, m):
-        """sum_j q^j * sum_i cs[j][i] * ps[i] mod m: Horner in q = qn/dq over
-        linear combinations of the polynomials ps, reduced once at the end.
-        The q^j term, j <= J, is scaled by dq^(J+1-j), and the sum divided
-        by dq^(J+1), so the loop stays in the numerator ring."""
-        div = _cleared_divisor(self, m)
-        (qn, dq), ps = self._clear(q), ps[:max(map(len, cs), default=0)]
-        (cs, dc), (ps, dp) = self._clear_polys(cs), self._clear_polys(ps)
-        add, mul, times = self._nadd, self._nmul, self._ntimes
-        acc, scale, width = [], self._none, max(map(len, ps), default=0)
-        for c in reversed(cs):
-            scale = times(scale, dq)
-            out = [self._nzero] * max(len(acc) + len(qn) - 1, width)
-            acc = _dot(add, mul, [times(scale, s) for s in c], ps,
-                       _conv(add, mul, acc, qn, out))
-        den = _reduce_by(add, mul, acc, div, times(times(scale, dc), dp))
-        return self._finish(acc, den)
 
     def _pcompose(self, a, q, m=None):
         """a(q) by Horner, each product reduced mod m when m is given."""
@@ -627,7 +608,7 @@ class PrimeField(Field):
         return rng.randrange(self.p)
 
     # the numerator ring Z, reduced mod p only in ``_finish``, so a lead's
-    # inverse mod p serves as its inverse; below, the kernel's six measured
+    # inverse mod p serves as its inverse; below, the kernel's five measured
     # overrides (module docstring)
     _zero, _nzero, _none = 0, 0, 1
     _nadd, _nmul, _nneg = operator.add, operator.mul, operator.neg
@@ -707,19 +688,6 @@ class PrimeField(Field):
         out = _unpack(x * y & ((1 << 8 * w * k * s) - 1), w, k * s)
         return [self._pdivide(out[t:t + s], m, False)[1]
                 for t in range(0, k * s, s)]
-
-    def _phorner(self, cs, ps, q, m):
-        # Horner on packed ints, a slot holding a whole Z coefficient: each
-        # sum_i cs[j][i] ps[i] is at most B_0 = len(ps) (p-1)^2 (>= p - 1,
-        # so q fits), the sum after J steps B_0 sum_{j<=J} (len(q) (p-1))^j
-        ps, top = ps[:max(map(len, cs), default=0)], self.p - 1
-        w = _slot(max(len(ps), 1) * top ** 2 * sum(
-            ((len(q) * top) ** j for j in range(1, len(cs))), 1))
-        packed, acc, qx = [_pack(y, w) for y in ps], 0, _pack(q, w)
-        for c in reversed(cs):
-            acc = acc * qx + sum(a * x for a, x in zip(c, packed) if a)
-        out = _unpack(acc, w, -(-acc.bit_length() // (8 * w)))
-        return self._pdivide(out, m, False)[1]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

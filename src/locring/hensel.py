@@ -4,12 +4,13 @@ Provides the shift certificate P(X+Q) = P + P'Q + R Q^2, the iterative root
 series U with P(U) = R_cert * P^k, the induced embedding of the residue field
 K[X]/(P) into K[X]/(P^k), and the digit expansion of elements along the
 basis 1, P, ..., P^{k-1} over the embedded residue field.  The cached root
-series owns the embedding and the digit table: one state per (P, k).  The
-digit layer runs on payloads and boxes only its results.  ``to_digits`` is
-a K-linear map: a P-adic expansion, then per digit one ``_pdot`` on the
+series owns the embedding and both digit tables: one state per (P, k).
+The digit layer runs on payloads and boxes only its results.  ``to_digits``
+is a K-linear map: a P-adic expansion, then per digit one ``_pdot`` on the
 digits of X^i, i < d = deg P, built by the step loop that holds the
-exactness check.  Each digit chain is one kernel call, so over Q and
-F_p(t) each digit is normalized once.
+exactness check, and ``from_digits`` one ``_pdot`` on the U^i P^j mod P^k:
+one kernel call per digit chain, so over Q and F_p(t) each digit is
+normalized once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def taylor_shift_certificate(p, q):
 @dataclass(frozen=True)
 class RootSeries:
     """The data (Q_1..Q_{k-1}, U, R_cert) with P(U) = R_cert * P^k exactly;
-    it owns the section ``embedding`` and ``to_digits``' table."""
+    it owns the section ``embedding`` and both digit tables."""
 
     p: Poly
     k: int
@@ -51,21 +52,20 @@ class RootSeries:
         """P(U) - R_cert * P^k; zero for every valid series."""
         return self.p.compose(self.u) - self.r_cert * self.p ** self.k
 
-    @property
+    @functools.cached_property
     def embedding(self):
         """The section K[X]/(P) -> K[X]/(P^k), X -> U, built on first read."""
-        if not hasattr(self, "_embed"):  # deg U < k * deg P: U is reduced
-            source = QuotientRing(self.p, 1, assume_irreducible=True)
-            object.__setattr__(self, "_embed", StabilizingMorphism(
-                source, source.at_power(self.k), IDENTITY, self.u))
-        return self._embed
+        source = QuotientRing(self.p, 1, assume_irreducible=True)
+        return StabilizingMorphism(  # deg U < k * deg P: U is reduced
+            source, source.at_power(self.k), IDENTITY, self.u)
 
-    @property
+    @functools.cached_property
     def _columns(self):
-        if not hasattr(self, "_cols"):
-            object.__setattr__(self, "_cols",
-                               _digit_columns(self.embedding, self.k))
-        return self._cols
+        return _digit_columns(self.embedding, self.k)
+
+    @functools.cached_property
+    def _basis(self):
+        return _digit_basis(self.embedding, self.k)
 
 
 def derivative_inverse(p):
@@ -96,12 +96,12 @@ def hensel_root_series(p, k):
     # U = X mod P throughout (Q_0 = 0), so P' o U = P' mod P and one
     # inverse serves every step
     inv_dp = derivative_inverse(p)
-    u, r, q_list = Poly.x(p.field), Poly.one(p.field), []
-    for j in range(1, k):
+    u, r, q_list, pj = Poly.x(p.field), Poly.one(p.field), [], p
+    for _ in range(k - 1):
         s = (-(r % p)).mul_mod(inv_dp, p)
         q_list.append(s)
-        u = u + s * p ** j
-        r = exact_div(p.compose(u), p ** (j + 1))
+        u, pj = u + s * pj, pj * p
+        r = exact_div(p.compose(u), pj)
     return RootSeries(p=p, k=k, q_list=tuple(q_list), u=u, r_cert=r)
 
 
@@ -132,6 +132,17 @@ def _digit_columns(embed, k):
     while len(cols) < len(p) - 1:
         cols.append(f._pconvmod(cols[-1], xs, p))
     return tuple(zip(*cols))
+
+
+def _digit_basis(embed, k):
+    """``from_digits``' table, built once per (P, k) by ``RootSeries``:
+    entry j*d + i is U^i P^j mod P^k, i < d = deg P, j < k."""
+    f, p = embed.target.field, embed.source.p.payload
+    m, d = embed.target.modulus.payload, len(p) - 1
+    basis = list(embed.images[:d])
+    while len(basis) < d * k:
+        basis.extend([f._pmulmod(u, p, m) for u in basis[-d:]])
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -172,15 +183,16 @@ def to_digits(a):
 
 
 def from_digits(d):
-    """Evaluate the digit vector: sum embed(a_j) * P^j in K[X]/(P^k), by
-    Horner in P on the embedding's powers of U, reduced once at the end."""
+    """Evaluate the digit vector: sum embed(a_j) * P^j in K[X]/(P^k), one
+    ``_pdot`` of the digits' coefficients on the ``_digit_basis`` table,
+    whose entries are reduced mod P^k, and so is the sum."""
     ring = d.ring
     if len(d.digits) != ring.n:
         raise ValueError(f"expected {ring.n} digits, got {len(d.digits)}")
-    f, embed = ring.field, hensel_root_series(ring.p, ring.n).embedding
-    return QuotientElement(ring, Poly._of(f, f._phorner(
-        [a.rep.payload for a in d.digits], embed.images, ring.p.payload,
-        ring.modulus.payload)))
+    f, pad = ring.field, (ring.field._from_int(0),) * ring.p.degree
+    cs = [c for a in d.digits for c in (a.rep.payload + pad)[:len(pad)]]
+    return QuotientElement(ring, Poly._of(f, f._pdot(
+        cs, hensel_root_series(ring.p, ring.n)._basis)))
 
 
 def digits_mul(d1, d2):

@@ -599,11 +599,6 @@ def test_division_and_fused_entries_match_their_definitions(field):
                 product[i + j] = add(product[i + j], mul(x, y))
         assert field._pconvmod(xs, ys, m) == [field._prem(c, m)
                                               for c in product], (xs, ys, m)
-        ps = [poly(rng.randint(0, 4)) for _ in range(3)]
-        cs, q, acc = [poly(3) for _ in range(rng.randint(1, 4))], poly(3), ()
-        for c in reversed(cs):
-            acc = add(mul(acc, q), field._pdot(c, ps))
-        assert field._phorner(cs, ps, q, m) == field._prem(acc, m), (cs, q)
 
 
 def library_caches():
@@ -715,12 +710,12 @@ def test_slots_pack_alike_through_bytes(p, monkeypatch):
                              for _ in range(n)])
     m = poly(3) + (1,)
     cases = [(poly(rng.randint(0, 9)), poly(rng.randint(0, 9)),
-              [poly(3) for _ in range(6)], [poly(3) for _ in range(6)],
-              [poly(12) for _ in range(3)]) for _ in range(20)]
+              [poly(3) for _ in range(6)], [poly(3) for _ in range(6)])
+             for _ in range(20)]
 
     def products():
-        return [(field._pmul(a, b), field._pconvmod(xs, ys, m),
-                 field._phorner(xs, ps, m, m)) for a, b, xs, ys, ps in cases]
+        return [(field._pmul(a, b), field._pconvmod(xs, ys, m))
+                for a, b, xs, ys in cases]
     want = products()
     monkeypatch.setattr(fields, "_SLOT_CODES", {})
     assert products() == want

@@ -17,6 +17,8 @@ from locring.poly import Poly, exact_div
 
 F2 = L.PrimeField(2)
 F3 = L.PrimeField(3)
+F101 = L.PrimeField(101)
+F61 = L.PrimeField(2 ** 61 - 1)
 Q = L.Rationals()
 F2T = L.RationalFunctionField(2, "t")
 F3T = L.RationalFunctionField(3, "t")
@@ -204,10 +206,11 @@ def test_digits_reuse_the_cached_embedding():
 
 def test_root_series_builds_its_embedding_and_table_once(monkeypatch):
     # the cached root series is the whole Hensel state of (P, k): the first
-    # to_digits builds its embedding and digit table, later digit calls
-    # reuse them, and clearing the one cache drops both
+    # to_digits builds its embedding and digit table, the first from_digits
+    # its table, later digit calls reuse them, and clearing the one cache
+    # drops all three
     built = []
-    for name in ("StabilizingMorphism", "_digit_columns"):
+    for name in ("StabilizingMorphism", "_digit_columns", "_digit_basis"):
         def counted(*args, name=name, make=getattr(hensel, name)):
             built.append(name)
             return make(*args)
@@ -218,11 +221,14 @@ def test_root_series_builds_its_embedding_and_table_once(monkeypatch):
     assert sorted(built) == ["StabilizingMorphism", "_digit_columns"]
     d = L.to_digits(ring.gen() ** 2)
     L.from_digits(digits_mul(d, d))
+    assert built[2:] == ["_digit_basis"]
+    L.from_digits(d)
     L.embed_residue_field(ring.p, 3)
-    assert len(built) == 2
+    assert len(built) == 3
     L.hensel_root_series.cache_clear()
-    L.to_digits(ring.gen())
-    assert len(built) == 4
+    L.from_digits(L.to_digits(ring.gen()))
+    assert sorted(built[3:]) == ["StabilizingMorphism", "_digit_basis",
+                                 "_digit_columns"]
 
 
 def test_digits_round_trip_exhaustive():
@@ -328,7 +334,8 @@ def test_to_digits_keeps_its_exactness_check():
 # -- the digit layer against its boxed definitions -------------------------
 
 DIGIT_CASES = [(Q, "x^2-2"), (F2T, "x^3+x+t"), (F3T, "x^2+x/t+1"),
-               (F3, "x^2+1"), (F4, "x^2+x+a"), (F16, "x^2+x+a*b")]
+               (F3, "x^2+1"), (F4, "x^2+x+a"), (F16, "x^2+x+a*b"),
+               (F101, "x^3+x+3"), (F61, "x^3+x+5")]
 
 
 def _step_digits(a, embed):
@@ -363,6 +370,24 @@ def test_digit_layer_matches_its_definitions(field, ptext):
     for k in range(1, 7):
         for _ in range(2):
             _check_digit_layer(field, ptext, k, rng)
+
+
+@pytest.mark.parametrize("field,ptext", [
+    (F2, "x^3+x+1"), (F3, "x^2+x+2"), (Q, "x^2-2"), (F2T, "x^3+x+t"),
+    (F4, "x^2+x+a")], ids=repr)
+def test_digit_tables_are_inverse_linear_maps(field, ptext):
+    # from_digits sends the unit digit vector with X^i in place j to
+    # U^i P^j, and to_digits sends that back: on all dk unit vectors the
+    # two tables are mutually inverse
+    for k in range(1, 5):
+        ring = _ring(field, ptext, k)
+        residue, d = ring.at_power(1), ring.p.degree
+        for j in range(k):
+            for i in range(d):
+                e = ResidueDigits(ring, tuple(
+                    residue.gen() ** i if m == j else residue.zero()
+                    for m in range(k)))
+                assert L.to_digits(L.from_digits(e)) == e, (k, j, i)
 
 
 def test_digit_layer_matches_its_definitions_at_power_16():
